@@ -11,7 +11,7 @@
 #   make bench-explain search-journal overhead + bit-identity gate; embeds the
 #                      convergence journal (writes BENCH_explain.json)
 #   make bench-persist checkpoint/resume bit-identity benchmark (BENCH_persist.json)
-#   make bench-moo     NSGA-II + surrogate vs the exhaustive oracle: regret,
+#   make bench-moo     NSGA-II vs the exhaustive oracle: regret,
 #                      budget and hypervolume gates (writes BENCH_moo.json)
 #   make bench-serve   daemon load-generator benchmark (writes BENCH_serve.json)
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon

@@ -6,8 +6,7 @@
      sweep        regenerate Table 4 / Figure 7 across capacities
      experiments  run the full paper-reproduction suite
      margins      report cell margins under given assist levels
-     assist       sweep one assist technique (Figures 3 / 5)
-     anneal       compare simulated annealing against exhaustive search *)
+     assist       sweep one assist technique (Figures 3 / 5) *)
 
 let capacity_conv =
   let parse s =
@@ -70,6 +69,9 @@ let method_arg =
   Arg.(value & opt method_conv Opt.Space.M2
        & info [ "method"; "m" ] ~docv:"METHOD" ~doc:"Voltage-pin policy: m1 or m2.")
 
+let strategy_names =
+  String.concat ", " (List.map Opt.Strategy.name Opt.Strategy.all)
+
 (* The richer `--method` grammar of `optimize` and `query`: a pin
    policy, a search strategy, or both ("m1:nsga2") — parsed by
    {!Opt.Strategy.parse_method}, shared verbatim with the serve wire
@@ -82,9 +84,8 @@ let search_method_conv =
       Error
         (`Msg
           (Printf.sprintf
-             "bad method %S (m1, m2, exhaustive, local, anneal, nsga2, \
-              surrogate, or POLICY:STRATEGY like m1:nsga2)"
-             s))
+             "bad method %S (m1, m2, %s, or POLICY:STRATEGY like m1:nsga2)"
+             s strategy_names))
   in
   let print ppf (pin, strategy) =
     Format.fprintf ppf "%s"
@@ -104,9 +105,11 @@ let search_method_arg =
     & opt search_method_conv (None, None)
     & info [ "method"; "m" ] ~docv:"METHOD"
         ~doc:
-          "Voltage-pin policy (m1, m2) and/or search strategy \
-           (exhaustive, local, anneal, nsga2, surrogate); combine as \
-           POLICY:STRATEGY, e.g. m1:nsga2.  Defaults: m2, exhaustive.")
+          (Printf.sprintf
+             "Voltage-pin policy (m1, m2) and/or search strategy (%s); \
+              combine as POLICY:STRATEGY, e.g. m1:nsga2.  Defaults: m2, \
+              exhaustive."
+             strategy_names))
 
 let seed_arg =
   Cmdliner.Arg.(
@@ -114,9 +117,8 @@ let seed_arg =
     & opt int Opt.Strategy.default_seed
     & info [ "seed" ] ~docv:"N"
         ~doc:
-          "RNG seed for the stochastic strategies (anneal, nsga2, \
-           surrogate).  Same seed, same answer — bit for bit at any \
-           --jobs.")
+          "RNG seed for the nsga2 strategy.  Same seed, same answer — \
+           bit for bit at any --jobs.")
 
 let budget_arg =
   Cmdliner.Arg.(
@@ -124,8 +126,8 @@ let budget_arg =
     & opt (some int) None
     & info [ "budget" ] ~docv:"N"
         ~doc:
-          "Evaluation budget (scan points) for the heuristic \
-           strategies; default: a few percent of the space.")
+          "Evaluation budget (scan points) for the nsga2 strategy; \
+           default: a few percent of the space.")
 
 let accounting_arg =
   Arg.(value & opt accounting_conv Array_model.Array_eval.Paper_strict
@@ -530,43 +532,6 @@ let assist_cmd =
   in
   Cmd.v (Cmd.info "assist" ~doc:"Sweep one assist technique on the 6T-HVT cell")
     Term.(const run $ technique_arg)
-
-let anneal_cmd =
-  let run capacity flavor method_ seed json jobs stats trace progress
-      log_level search_log persist =
-    with_runtime ~trace ~progress ~log_level ~search_log ~persist ~jobs ~stats
-    @@ fun () ->
-    let env = Array_model.Array_eval.make_env ~cell_flavor:flavor () in
-    let exhaustive =
-      Opt.Exhaustive.search ~env ~capacity_bits:capacity ~method_ ()
-    in
-    let annealed =
-      Opt.Anneal.search ~seed ~env ~capacity_bits:capacity ~method_ ()
-    in
-    let score (r : Opt.Exhaustive.result) = r.Opt.Exhaustive.best.Opt.Exhaustive.score in
-    let gap = 100.0 *. ((score annealed /. score exhaustive) -. 1.0) in
-    if json then
-      (* result_to_json carries [considered]; for a heuristic search
-         that equals [evaluated] (it decides exactly what it tries). *)
-      print_endline
-        (Persist.Json.to_string
-           (Persist.Json.Obj
-              [ ("seed", Persist.Json.Int seed);
-                ("gap_pct", Persist.Json.Float gap);
-                ("exhaustive", Opt.Exhaustive.result_to_json exhaustive);
-                ("annealed", Opt.Exhaustive.result_to_json annealed) ]))
-    else begin
-      Printf.printf "exhaustive: EDP=%.4g Js in %d evaluations\n"
-        (score exhaustive) exhaustive.Opt.Exhaustive.evaluated;
-      Printf.printf "annealed  : EDP=%.4g Js in %d evaluations (gap %+.2f%%)\n"
-        (score annealed) annealed.Opt.Exhaustive.evaluated gap
-    end
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Annealing RNG seed.") in
-  Cmd.v (Cmd.info "anneal" ~doc:"Compare simulated annealing against exhaustive search")
-    Term.(const run $ capacity_arg $ flavor_arg $ method_arg $ seed $ json_flag
-          $ jobs_arg $ stats_arg $ trace_arg $ progress_arg $ log_level_arg
-          $ search_log_arg $ persist_term)
 
 let explain_cmd =
   let run capacity flavor method_ accounting no_pareto json jobs stats trace
@@ -1321,6 +1286,6 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [ optimize_cmd; explain_cmd; sweep_cmd; experiments_cmd; margins_cmd;
-            assist_cmd; anneal_cmd; bank_cmd; retention_cmd; corners_cmd; compare8t_cmd;
+            assist_cmd; bank_cmd; retention_cmd; corners_cmd; compare8t_cmd;
             workload_cmd; validate_cmd; stat_cmd; datasheet_cmd; simulate_cmd;
             export_cmd; serve_cmd; query_cmd ]))

@@ -50,16 +50,14 @@ let len = ref 0
 let dropped_n = ref 0
 
 (* Source names are interned to small ids so the hot path stores a
-   float.  The three optimizer layers get fixed ids; anything else
-   (tests, future searches) is added under the journal lock. *)
+   float.  The exhaustive engine gets a fixed id; anything else
+   (NSGA-II, tests) is added under the journal lock. *)
 let extras : string array ref = ref [||]
 let n_extras = ref 0
 
 let src_id_locked s =
   match s with
   | "exhaustive" -> 0
-  | "local_search" -> 1
-  | "anneal" -> 2
   | s ->
     let rec find i =
       if i >= !n_extras then begin
@@ -70,18 +68,16 @@ let src_id_locked s =
         end;
         !extras.(!n_extras) <- s;
         incr n_extras;
-        3 + (!n_extras - 1)
+        !n_extras
       end
-      else if String.equal !extras.(i) s then 3 + i
+      else if String.equal !extras.(i) s then 1 + i
       else find (i + 1)
     in
     find 0
 
 let src_name_locked = function
   | 0 -> "exhaustive"
-  | 1 -> "local_search"
-  | 2 -> "anneal"
-  | i -> if i - 3 < !n_extras then !extras.(i - 3) else "?"
+  | i -> if i - 1 < !n_extras then !extras.(i - 1) else "?"
 
 (* Monotonic counters, kept outside the buffer so they survive a full
    buffer and stay cheap to bump (prunes fire once per pruned geometry

@@ -33,7 +33,7 @@ type design = {
 type event = {
   t : float;       (** seconds since {!arm} *)
   kind : kind;
-  source : string; (** ["exhaustive"], ["local_search"], ["anneal"] *)
+  source : string; (** ["exhaustive"], ["nsga2"] *)
   score : float;   (** objective value (for [Prune]: the admissible bound) *)
   edp : float;     (** EDP of the design, [nan] when not materialized *)
   design : design option;

@@ -1,7 +1,6 @@
-(* Shared evaluation substrate for the heuristic multi-objective
-   searches ({!Nsga2}, {!Surrogate}).
+(* Evaluation substrate for the multi-objective search ({!Nsga2}).
 
-   Both algorithms decide *geometries*; pricing one geometry prices its
+   The algorithm decides *geometries*; pricing one geometry prices its
    whole V_SSC line for free through the batched scan kernel
    ({!Array_model.Array_eval.scan}).  This module caches those lines —
    one scan per distinct (n_r, N_pre, N_wr) ever touched — and accounts
@@ -14,7 +13,7 @@
    geometry) — never on job count or arrival order — and the fill path
    runs missing keys through {!Runtime.Pool.parmap}, whose index-
    ordered results make the incumbent fold below bit-identical at any
-   [--jobs].  Everything the calling algorithms observe (scores,
+   [--jobs].  Everything the calling algorithm observes (scores,
    points, bests) is therefore a pure function of the key sequence they
    request. *)
 
@@ -104,7 +103,7 @@ let geometry_of t k =
 
 (* The scalar objective read off the scan buffers, bit-identical to
    [Objective.eval] of the completed metrics (ED^2 left-associates as
-   edp *. d — the kernel contract the local search also relies on). *)
+   edp *. d — the scan kernel's contract). *)
 let score_of_line l objective i =
   match objective with
   | Objective.Energy_delay_product -> l.l_edp.(i)
@@ -200,9 +199,9 @@ let candidate t k i =
 (* Coordinate descent on the vssc-minimized landscape g(geometry) =
    min over the line — each coordinate move prices a whole row of
    lines, cycled until a full cycle stops improving.  Deterministic:
-   ties keep the incumbent index.  The polish step both heuristics run
-   after their sampling phase; on this space the basin around the
-   near-optimal designs the samplers reach is descent-connected to the
+   ties keep the incumbent index.  The polish step NSGA-II runs after
+   its sampling phase; on this space the basin around the
+   near-optimal designs the sampler reaches is descent-connected to the
    grid optimum, which is what drives winner-regret to zero. *)
 let descend_by ?(probe = true) ?(window = max_int) t value start =
   let axis_dim = function

@@ -1,5 +1,5 @@
-(** Scan-line evaluation cache: the shared substrate of the heuristic
-    multi-objective searches ({!Nsga2}, {!Surrogate}).
+(** Scan-line evaluation cache: the evaluation substrate of the
+    multi-objective search ({!Nsga2}).
 
     Pricing one geometry prices its whole V_SSC line through the
     batched scan kernel ({!Array_model.Array_eval.scan}); this cache
@@ -66,9 +66,6 @@ val score : t -> key -> int -> float
 val point : t -> key -> int -> float * float
 (** (d_array, e_total) at (geometry, vssc index). *)
 
-val line_best : t -> key -> int * float
-(** The line's scalar-best (vssc index, score). *)
-
 val best : t -> (key * int * float) option
 (** Global incumbent over every scanned line: strictly-better score
     wins, ties keep the earlier scan. *)
@@ -82,8 +79,8 @@ val descend : t -> key -> key
     stops improving; ties keep the incumbent.  A stalled cycle probes
     joint +-1/+-2 steps on every axis pair (pattern search) before
     giving up — the escape move for the coupled (N_pre, N_wr) minima an
-    axis-aligned descent sticks on.  The polish step both heuristics
-    run after sampling. *)
+    axis-aligned descent sticks on.  The polish step NSGA-II runs
+    after sampling. *)
 
 val descend_edges : t -> key -> key * key
 (** Two extra coordinate descents from [start], one on the line-minimum

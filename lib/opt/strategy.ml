@@ -1,42 +1,33 @@
-(* One name, one signature, five engines.
+(* One name, one signature, two engines.
 
    Everything above lib/opt — {!Framework.optimize}, the CLI's
    [optimize --method], the serve [optimize] endpoint — dispatches on
    this module instead of hard-coding the exhaustive engine.  Each
-   engine keeps its own richer entry point (schedules, populations,
-   kernels); [run] forwards the common knobs and leaves the rest at
-   the engine defaults, so driving an engine through the dispatch is
+   engine keeps its own richer entry point (populations, kernels);
+   [run] forwards the common knobs and leaves the rest at the engine
+   defaults, so driving an engine through the dispatch is
    observationally identical to calling it directly (the backfill
    tests pin this: the full-sweep checksum 67fd83cd67998ac0 must
    reproduce through [run Exhaustive]). *)
 
 type t =
   | Exhaustive
-  | Local_search
-  | Anneal
   | Nsga2
-  | Surrogate
 
-let all = [ Exhaustive; Local_search; Anneal; Nsga2; Surrogate ]
+let all = [ Exhaustive; Nsga2 ]
 
 let name = function
   | Exhaustive -> "exhaustive"
-  | Local_search -> "local"
-  | Anneal -> "anneal"
   | Nsga2 -> "nsga2"
-  | Surrogate -> "surrogate"
 
 let of_name = function
   | "exhaustive" -> Some Exhaustive
-  | "local" -> Some Local_search
-  | "anneal" -> Some Anneal
   | "nsga2" -> Some Nsga2
-  | "surrogate" -> Some Surrogate
   | _ -> None
 
 let deterministic = function
-  | Exhaustive | Local_search -> true
-  | Anneal | Nsga2 | Surrogate -> false
+  | Exhaustive -> true
+  | Nsga2 -> false
 
 (* The CLI's and the wire protocol's `method` grammar:
    "m1" / "m2" name a voltage-pin policy, a strategy name alone picks
@@ -73,42 +64,6 @@ let run strategy ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx
   | Exhaustive ->
     Exhaustive.search ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx
       ?journal ?deadline ~env ~capacity_bits ~method_ ()
-  | Local_search ->
-    (* The descent is sequential and deterministic; [budget] maps to
-       nothing it honors (restarts stay at the engine default) and
-       [deadline] is not supported — both documented in the mli. *)
-    Local_search.search ?space ?objective ?levels ?w ?journal ~env
-      ~capacity_bits ~method_ ()
-  | Anneal ->
-    Anneal.search ?space ?objective ?w ~seed:rng_seed ~env ~capacity_bits
-      ~method_ ()
   | Nsga2 ->
     Nsga2.search ?space ?objective ?levels ?pool ?w ?budget ~seed:rng_seed
       ?deadline ~env ~capacity_bits ~method_ ()
-  | Surrogate ->
-    Surrogate.search ?space ?objective ?levels ?pool ?w ?budget ~seed:rng_seed
-      ?deadline ~env ~capacity_bits ~method_ ()
-
-let run_front strategy ?space ?objective ?levels ?pool ?w ?budget
-    ?(rng_seed = default_seed) ?deadline ~env ~capacity_bits ~method_ () =
-  match strategy with
-  | Exhaustive ->
-    let result, all =
-      Exhaustive.search_all ?space ?objective ?levels ?pool ?w ~env
-        ~capacity_bits ~method_ ()
-    in
-    (result, Pareto.front all)
-  | Nsga2 ->
-    Nsga2.search_front ?space ?objective ?levels ?pool ?w ?budget
-      ~seed:rng_seed ?deadline ~env ~capacity_bits ~method_ ()
-  | Surrogate ->
-    Surrogate.search_front ?space ?objective ?levels ?pool ?w ?budget
-      ~seed:rng_seed ?deadline ~env ~capacity_bits ~method_ ()
-  | Local_search | Anneal ->
-    (* Scalar-only engines: the best they can say about the trade-off
-       plane is their single winner. *)
-    let result =
-      run strategy ?space ?objective ?levels ?pool ?w ?budget ~rng_seed
-        ?deadline ~env ~capacity_bits ~method_ ()
-    in
-    (result, [ result.Exhaustive.best ])

@@ -1,6 +1,6 @@
 (** The common search-strategy interface.
 
-    One dispatch point over the five engines, with the common knobs
+    One dispatch point over the two engines, with the common knobs
     (space, objective, budget, deadline, [?rng_seed], [?journal]) in
     one signature.  {!Framework.optimize}, the CLI's
     [optimize --method] and the serve [optimize] endpoint all route
@@ -9,32 +9,28 @@
     the full-sweep checksum [67fd83cd67998ac0] through
     [run Exhaustive]).
 
-    Engine-specific knobs (annealing schedules, population sizes,
-    kernels) stay on the engines' own entry points; [run] leaves them
-    at their defaults. *)
+    Engine-specific knobs (population sizes, kernels) stay on the
+    engines' own entry points; [run] leaves them at their defaults. *)
 
 type t =
   | Exhaustive    (** the bit-deterministic oracle (staged kernel) *)
-  | Local_search  (** coordinate descent with deterministic restarts *)
-  | Anneal        (** simulated annealing, deterministic per seed *)
   | Nsga2         (** crowded non-dominated GA + descent polish *)
-  | Surrogate     (** quadratic model + expected improvement + polish *)
 
 val all : t list
 
 val name : t -> string
-(** "exhaustive" / "local" / "anneal" / "nsga2" / "surrogate" — the
-    CLI flag values and the wire protocol's spellings. *)
+(** "exhaustive" / "nsga2" — the CLI flag values and the wire
+    protocol's spellings. *)
 
 val of_name : string -> t option
 
 val deterministic : t -> bool
-(** True when the engine ignores [rng_seed] (exhaustive, local
-    search) — the framework cache normalizes the seed away for these
-    so repeated queries hit. *)
+(** True when the engine ignores [rng_seed] (exhaustive) — the
+    framework cache normalizes the seed away for these so repeated
+    queries hit. *)
 
 val default_seed : int
-(** 42, matching the CLI's historical [anneal --seed] default. *)
+(** 42, the CLI's [--seed] default. *)
 
 val parse_method : string -> (Space.method_ option * t option) option
 (** The [--method] / wire grammar: ["m1"]/["m2"] name a voltage-pin
@@ -63,33 +59,9 @@ val run :
 (** Run one engine with the common knobs.  Per-engine mapping:
     - [Exhaustive] honors everything except [budget]/[rng_seed]
       (it visits the whole space; there is nothing to randomize);
-    - [Local_search] honors [journal]; [pool]/[deadline]/[budget]/
-      [rng_seed]/[kernel] are not supported by the engine and are
-      ignored;
-    - [Anneal] honors [rng_seed]; [levels]/[pool]/[journal]/[deadline]/
-      [budget]/[kernel] are ignored;
-    - [Nsga2]/[Surrogate] honor everything except [kernel]/[journal]
-      (they evaluate through the batched scan kernel; their runs are
+    - [Nsga2] honors everything except [kernel]/[stage_ctx]/[journal]
+      (it evaluates through the batched scan kernel; its runs are
       cheap to recompute, so nothing is checkpointed).
-    All engines return the same {!Exhaustive.result} shape (golden-
-    diffed by the backfill tests). *)
-
-val run_front :
-  t ->
-  ?space:Space.t ->
-  ?objective:Objective.t ->
-  ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
-  ?w:int ->
-  ?budget:int ->
-  ?rng_seed:int ->
-  ?deadline:float ->
-  env:Array_model.Array_eval.env ->
-  capacity_bits:int ->
-  method_:Space.method_ ->
-  unit ->
-  Exhaustive.result * Exhaustive.candidate list
-(** As {!run} but also the energy-delay Pareto front: exhaustive runs
-    unpruned ({!Exhaustive.search_all}) and returns the true front;
-    NSGA-II / surrogate return the front over every point they
-    scanned; the scalar engines return their single winner. *)
+    Both engines honor [deadline] and return the same
+    {!Exhaustive.result} shape (golden-diffed by the backfill
+    tests). *)

@@ -1,9 +1,9 @@
 (* Multi-objective search stack: QCheck properties for the NSGA-II
    machinery (Moo) and the hypervolume indicator, oracle-differential
-   tests gating the heuristic engines against the exhaustive search on
-   reduced Table-4 spaces, and backfill tests pinning that routing the
-   pre-existing engines through Opt.Strategy changed nothing — down to
-   the full-sweep winner checksum. *)
+   tests gating NSGA-II against the exhaustive search on reduced
+   Table-4 spaces, and backfill tests pinning that routing the engines
+   through Opt.Strategy changes nothing — down to the full-sweep winner
+   checksum. *)
 
 open Testutil
 
@@ -147,7 +147,7 @@ let hypervolume_tests =
           (Opt.Hypervolume.ratio ~truth:front front))
   ]
 
-(* ----- oracle differential: heuristics vs exhaustive ----- *)
+(* ----- oracle differential: NSGA-II vs exhaustive ----- *)
 
 let pairs_of cs =
   List.map (fun c -> let o = Opt.Pareto.objectives c in (o.(0), o.(1))) cs
@@ -207,14 +207,7 @@ let oracle_case name search_front =
 let oracle_tests =
   [ oracle_case "nsga2 recovers the exhaustive winner" (fun ~capacity_bits ->
         Opt.Nsga2.search_front ~space:Opt.Space.reduced ~levels:levels_hvt
-          ~env:env_hvt ~capacity_bits ~method_:Opt.Space.M2 ());
-    oracle_case "surrogate recovers the exhaustive winner"
-      (fun ~capacity_bits ->
-        (* Fallback disabled so the model path itself is under test even
-           on the reduced grid. *)
-        Opt.Surrogate.search_front ~space:Opt.Space.reduced
-          ~levels:levels_hvt ~fallback_threshold:0 ~env:env_hvt
-          ~capacity_bits ~method_:Opt.Space.M2 ())
+          ~env:env_hvt ~capacity_bits ~method_:Opt.Space.M2 ())
   ]
 
 (* ----- determinism across job counts ----- *)
@@ -232,29 +225,6 @@ let prop_nsga2_bit_identical_across_jobs =
               Opt.Nsga2.search ~space:Opt.Space.reduced ~levels:levels_hvt
                 ~pool ~pop:8 ~generations:6 ~seed ~env:env_hvt
                 ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()
-            in
-            Runtime.Pool.shutdown pool;
-            Opt.Exhaustive.checksum [ res ])
-          [ 1; 2; 4 ]
-      in
-      match sums with
-      | [ a; b; c ] -> String.equal a b && String.equal b c
-      | _ -> false)
-
-let prop_surrogate_bit_identical_across_jobs =
-  QCheck.Test.make ~name:"same-seed surrogate is bit-identical at 1/2/4 jobs"
-    ~count:4
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let sums =
-        List.map
-          (fun jobs ->
-            let pool = Runtime.Pool.create ~jobs () in
-            let res =
-              Opt.Surrogate.search ~space:Opt.Space.reduced
-                ~levels:levels_hvt ~pool ~seed ~fallback_threshold:0
-                ~env:env_hvt ~capacity_bits:(1024 * 8)
-                ~method_:Opt.Space.M2 ()
             in
             Runtime.Pool.shutdown pool;
             Opt.Exhaustive.checksum [ res ])
@@ -308,56 +278,18 @@ let test_strategy_exhaustive_full_sweep () =
 
 let test_strategy_matches_direct_calls () =
   let capacity_bits = 1024 * 8 and method_ = Opt.Space.M2 in
-  let common = (Opt.Space.reduced, env_hvt) in
-  let space, env = common in
-  let via st =
-    Opt.Strategy.run st ~space ~levels:levels_hvt ~rng_seed:7 ~env
-      ~capacity_bits ~method_ ()
+  let space = Opt.Space.reduced and env = env_hvt in
+  let via =
+    Opt.Strategy.run Opt.Strategy.Nsga2 ~space ~levels:levels_hvt ~rng_seed:7
+      ~env ~capacity_bits ~method_ ()
   in
-  let pairs =
-    [ ( "local",
-        via Opt.Strategy.Local_search,
-        Opt.Local_search.search ~space ~levels:levels_hvt ~env ~capacity_bits
-          ~method_ () );
-      ( "anneal",
-        via Opt.Strategy.Anneal,
-        Opt.Anneal.search ~space ~seed:7 ~env ~capacity_bits ~method_ () ) ]
+  let direct =
+    Opt.Nsga2.search ~space ~levels:levels_hvt ~seed:7 ~env ~capacity_bits
+      ~method_ ()
   in
-  List.iter
-    (fun (name, a, b) ->
-      Alcotest.(check string)
-        (name ^ " via Strategy = direct call")
-        (Opt.Exhaustive.checksum [ b ])
-        (Opt.Exhaustive.checksum [ a ]))
-    pairs
-
-let test_surrogate_fallback_is_exhaustive () =
-  (* A space below the fallback threshold must be searched outright:
-     same winner as the exhaustive engine, bit for bit, and the true
-     front. *)
-  let space =
-    { Opt.Space.vssc_values = [| 0.0; -0.1; -0.2 |];
-      nr_values = [| 64; 128; 256 |];
-      n_pre_values = [| 2; 4 |];
-      n_wr_values = [| 2; 4 |] }
-  in
-  let capacity_bits = 1024 * 8 and method_ = Opt.Space.M2 in
-  let sres, sfront =
-    Opt.Surrogate.search_front ~space ~levels:levels_hvt ~env:env_hvt
-      ~capacity_bits ~method_ ()
-  in
-  let eres, all =
-    Opt.Exhaustive.search_all ~space ~levels:levels_hvt ~env:env_hvt
-      ~capacity_bits ~method_ ()
-  in
-  Alcotest.(check string)
-    "fallback winner = exhaustive winner"
-    (Opt.Exhaustive.checksum [ eres ])
-    (Opt.Exhaustive.checksum [ sres ]);
-  Alcotest.(check int)
-    "fallback front = true front"
-    (List.length (Opt.Pareto.front all))
-    (List.length sfront)
+  Alcotest.(check string) "nsga2 via Strategy = direct call"
+    (Opt.Exhaustive.checksum [ direct ])
+    (Opt.Exhaustive.checksum [ via ])
 
 (* ----- the --method / wire grammar ----- *)
 
@@ -372,11 +304,13 @@ let strategy_grammar_tests =
         check_parse "m1" (Some (Some Opt.Space.M1, None));
         check_parse "M2" (Some (Some Opt.Space.M2, None));
         check_parse "nsga2" (Some (None, Some Opt.Strategy.Nsga2));
-        check_parse "  Surrogate " (Some (None, Some Opt.Strategy.Surrogate));
+        check_parse "  Exhaustive " (Some (None, Some Opt.Strategy.Exhaustive));
         check_parse "m1:nsga2"
           (Some (Some Opt.Space.M1, Some Opt.Strategy.Nsga2));
-        check_parse "m2:anneal"
-          (Some (Some Opt.Space.M2, Some Opt.Strategy.Anneal));
+        check_parse "local" None;
+        check_parse "anneal" None;
+        check_parse "m2:anneal" None;
+        check_parse " SURROGATE " None;
         check_parse "bogus" None;
         check_parse "m3:nsga2" None;
         check_parse "m1:bogus" None);
@@ -401,15 +335,12 @@ let () =
       ("oracle", oracle_tests);
       ( "determinism",
         List.map to_alco
-          [ prop_nsga2_bit_identical_across_jobs;
-            prop_surrogate_bit_identical_across_jobs ] );
+          [ prop_nsga2_bit_identical_across_jobs ] );
       ( "strategy-backfill",
         [ slow_case "exhaustive via Strategy reproduces the full-sweep \
                      checksum"
             test_strategy_exhaustive_full_sweep;
-          case "local and anneal via Strategy match direct calls"
-            test_strategy_matches_direct_calls;
-          case "surrogate below threshold falls back to exhaustive"
-            test_surrogate_fallback_is_exhaustive ] );
+          case "nsga2 via Strategy matches the direct call"
+            test_strategy_matches_direct_calls ] );
       ("strategy-grammar", strategy_grammar_tests)
     ]

@@ -1,6 +1,6 @@
 (* Tests of the optimization layer: yield-driven voltage pinning, the
    search space and M1/M2 policies, exhaustive search correctness (best
-   really is the minimum), Pareto extraction, and annealing. *)
+   really is the minimum) and Pareto extraction. *)
 
 open Testutil
 
@@ -287,109 +287,10 @@ let pareto_prop_tests =
                (Opt.Pareto.front all)));
   ]
 
-let anneal_tests =
-  [ case "annealing is deterministic per seed" (fun () ->
-        let run () =
-          Opt.Anneal.search ~space:Opt.Space.reduced
-            ~schedule:{ Opt.Anneal.initial_temperature = 0.3; cooling = 0.99; steps = 300 }
-            ~seed:5 ~env:env_hvt ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        let a = run () and b = run () in
-        (* Determinism means the whole design point, not just the score:
-           same geometry, same assist rail, bit-identical floats. *)
-        let ga = a.Opt.Exhaustive.best.Opt.Exhaustive.geometry in
-        let gb = b.Opt.Exhaustive.best.Opt.Exhaustive.geometry in
-        Alcotest.(check int) "nr" ga.Array_model.Geometry.nr gb.Array_model.Geometry.nr;
-        Alcotest.(check int) "nc" ga.Array_model.Geometry.nc gb.Array_model.Geometry.nc;
-        Alcotest.(check int) "n_pre" ga.Array_model.Geometry.n_pre gb.Array_model.Geometry.n_pre;
-        Alcotest.(check int) "n_wr" ga.Array_model.Geometry.n_wr gb.Array_model.Geometry.n_wr;
-        let bits r =
-          Int64.bits_of_float r.Opt.Exhaustive.best.Opt.Exhaustive.score
-        in
-        Alcotest.(check int64) "score bits" (bits a) (bits b);
-        let vssc r =
-          Int64.bits_of_float
-            r.Opt.Exhaustive.best.Opt.Exhaustive.assist.Array_model.Components.vssc
-        in
-        Alcotest.(check int64) "vssc bits" (vssc a) (vssc b);
-        Alcotest.(check int) "same trajectory" a.Opt.Exhaustive.evaluated
-          b.Opt.Exhaustive.evaluated);
-    case "annealing lands within 10% of the exhaustive optimum" (fun () ->
-        let exact =
-          Opt.Exhaustive.search ~space:Opt.Space.reduced ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        let approx =
-          Opt.Anneal.search ~space:Opt.Space.reduced ~seed:7 ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        check_within "quality" ~lo:1.0 ~hi:1.10
-          (approx.Opt.Exhaustive.best.Opt.Exhaustive.score
-           /. exact.Opt.Exhaustive.best.Opt.Exhaustive.score));
-    case "annealing spends far fewer evaluations" (fun () ->
-        let approx =
-          Opt.Anneal.search ~space:Opt.Space.reduced ~seed:7 ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        Alcotest.(check bool) "cheap" true
-          (approx.Opt.Exhaustive.evaluated
-           < Opt.Space.size Opt.Space.reduced ~capacity_bits:small_cap Opt.Space.M2)) ]
-
-let local_search_tests =
-  [ case "coordinate descent lands near the exhaustive optimum" (fun () ->
-        (* The reduced grid is deliberately coarse, which leaves real local
-           minima; a few extra restarts keep the gap in single digits. *)
-        let exact =
-          Opt.Exhaustive.search ~space:Opt.Space.reduced ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        let local =
-          Opt.Local_search.search ~space:Opt.Space.reduced ~restarts:8
-            ~env:env_hvt ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        check_within "quality" ~lo:1.0 ~hi:1.10
-          (local.Opt.Exhaustive.best.Opt.Exhaustive.score
-           /. exact.Opt.Exhaustive.best.Opt.Exhaustive.score));
-    case "full-grid coordinate descent is within 2% of exhaustive" (fun () ->
-        let exact =
-          Opt.Exhaustive.search ~env:env_hvt ~capacity_bits:small_cap
-            ~method_:Opt.Space.M2 ()
-        in
-        let local =
-          Opt.Local_search.search ~env:env_hvt ~capacity_bits:small_cap
-            ~method_:Opt.Space.M2 ()
-        in
-        check_within "quality" ~lo:1.0 ~hi:1.02
-          (local.Opt.Exhaustive.best.Opt.Exhaustive.score
-           /. exact.Opt.Exhaustive.best.Opt.Exhaustive.score));
-    case "coordinate descent is deterministic" (fun () ->
-        let run () =
-          (Opt.Local_search.search ~space:Opt.Space.reduced ~env:env_hvt
-             ~capacity_bits:small_cap ~method_:Opt.Space.M2 ())
-            .Opt.Exhaustive.best.Opt.Exhaustive.score
-        in
-        check_close "same" (run ()) (run ()));
-    case "coordinate descent spends far fewer evaluations" (fun () ->
-        let local =
-          Opt.Local_search.search ~space:Opt.Space.reduced ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        Alcotest.(check bool) "cheap" true
-          (local.Opt.Exhaustive.evaluated
-           < Opt.Space.size Opt.Space.reduced ~capacity_bits:small_cap Opt.Space.M2));
-    case "respects injected levels" (fun () ->
-        let levels = { Opt.Yield.vddc_min = 0.60; vwl_min = 0.60; hsnm_nominal = 0.2 } in
-        let r =
-          Opt.Local_search.search ~space:Opt.Space.reduced ~levels ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        check_close "pins" 0.60
-          r.Opt.Exhaustive.best.Opt.Exhaustive.assist.Array_model.Components.vddc) ]
-
 let journal_tests =
-  [ case "anneal result JSON round-trips the considered count" (fun () ->
+  [ case "nsga2 result JSON round-trips the considered count" (fun () ->
         let r =
-          Opt.Anneal.search ~space:Opt.Space.reduced ~seed:7 ~env:env_hvt
+          Opt.Nsga2.search ~space:Opt.Space.reduced ~seed:7 ~env:env_hvt
             ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
         in
         Alcotest.(check int) "a heuristic considers what it evaluates"
@@ -562,8 +463,6 @@ let () =
       ("objective", objective_tests);
       ("pareto", pareto_tests);
       ("pareto_props", pareto_prop_tests);
-      ("anneal", anneal_tests);
-      ("local_search", local_search_tests);
       ("journal", journal_tests);
       ("explain", explain_tests);
       ("array_yield", array_yield_tests) ]

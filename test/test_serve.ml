@@ -146,11 +146,7 @@ let query_gen =
   let* capacity_bits = int_range 1 (1 lsl 24) in
   let* flavor = oneofl [ Finfet.Library.Lvt; Finfet.Library.Hvt ] in
   let* method_ = oneofl [ Opt.Space.M1; Opt.Space.M2 ] in
-  let* strategy =
-    oneofl
-      [ Opt.Strategy.Exhaustive; Opt.Strategy.Local_search;
-        Opt.Strategy.Anneal; Opt.Strategy.Nsga2; Opt.Strategy.Surrogate ]
-  in
+  let* strategy = oneofl Opt.Strategy.all in
   let* rng_seed = int_range 0 10_000 in
   let* objective =
     oneofl
@@ -420,20 +416,23 @@ let server_tests =
                 (F.error_to_string e));
             (* An unknown method spelling is a typed bad_request and the
                connection survives it. *)
-            F.write fd (raw_request ~id:12 ~method_str:(Some "warp-drive"));
-            (match F.read fd with
-            | Ok s -> (
-              match Result.bind (J.of_string s) P.response_of_json with
-              | Ok { P.body = Error (P.Bad_request, _); _ } -> ()
-              | Ok _ -> Alcotest.fail "expected bad_request for warp-drive"
-              | Error e -> Alcotest.failf "undecodable response: %s" e)
-            | Error e ->
-              Alcotest.failf "no response to bad method: %s"
-                (F.error_to_string e));
+            List.iteri
+              (fun i bad ->
+                F.write fd (raw_request ~id:(12 + i) ~method_str:(Some bad));
+                match F.read fd with
+                | Ok s -> (
+                  match Result.bind (J.of_string s) P.response_of_json with
+                  | Ok { P.body = Error (P.Bad_request, _); _ } -> ()
+                  | Ok _ -> Alcotest.failf "expected bad_request for %s" bad
+                  | Error e -> Alcotest.failf "undecodable response: %s" e)
+                | Error e ->
+                  Alcotest.failf "no response to bad method %s: %s" bad
+                    (F.error_to_string e))
+              [ "warp-drive"; "anneal"; "surrogate" ];
             F.write fd
               (J.to_string
                  (P.request_to_json
-                    { P.id = 13; deadline_ms = None; trace_id = None;
+                    { P.id = 15; deadline_ms = None; trace_id = None;
                       endpoint = P.Ping }));
             match F.read fd with
             | Ok _ -> ()

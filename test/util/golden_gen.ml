@@ -141,8 +141,8 @@ let stats_schema () =
 
 (* Routing every engine through {!Opt.Strategy.run} must not change the
    result JSON a client sees (the serve payloads and the checkpoint
-   journal both embed it).  Values legitimately differ per engine — the
-   heuristics evaluate a subset — so the golden pins the SHAPE of
+   journal both embed it).  Values legitimately differ per engine —
+   NSGA-II evaluates a subset — so the golden pins the SHAPE of
    [Opt.Exhaustive.result_to_json] for each strategy, same collapse as
    the stats schema. *)
 let rec persist_schema_of = function
@@ -169,16 +169,15 @@ let strategies_schema () =
             ( Opt.Strategy.name st,
               persist_schema_of (Opt.Exhaustive.result_to_json (result_of st))
             ))
-          [ Opt.Strategy.Exhaustive; Opt.Strategy.Local_search;
-            Opt.Strategy.Anneal; Opt.Strategy.Nsga2; Opt.Strategy.Surrogate ]))
+          Opt.Strategy.all))
   ^ "\n"
 
 let files_memo =
   (* Sequenced lets: [stats_schema] mutates (then resets) global
      telemetry state, so it must not interleave with the sweep-backed
      generators.  The whole list is memoized because generation is not
-     idempotent either — [strategies_schema] registers the heuristic
-     engines' telemetry counters, which would leak into a *second*
+     idempotent either — [strategies_schema] registers the NSGA-II
+     engine's telemetry counters, which would leak into a *second*
      [stats_schema] run's counter listing. *)
   lazy
     (let table4 = table4_json () in
