@@ -7,6 +7,14 @@ exception Singular
 type factors
 (** An LU factorization of a square matrix (with row-permutation record). *)
 
+val factorize_in_place : Matrix.t -> int array -> unit
+(** [factorize_in_place m perm]: {!factorize} into caller-owned buffers,
+    overwriting [m] with its L\U factors and [perm] with the row order.
+    @raise Singular as {!factorize} (leaving [m] partly eliminated). *)
+
+val solve_into : Matrix.t -> int array -> float array -> float array -> unit
+(** [solve_into lu perm b x] writes the solution for [b] into [x]. *)
+
 val factorize : Matrix.t -> factors
 (** @raise Singular on rank-deficient input.  Does not mutate the input. *)
 

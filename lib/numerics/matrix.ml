@@ -23,7 +23,6 @@ let of_arrays rows_arr =
   m
 
 let rows m = m.nrows
-let cols m = m.ncols
 
 let get m i j =
   assert (i >= 0 && i < m.nrows && j >= 0 && j < m.ncols);
@@ -73,15 +72,3 @@ let mat_mul a b =
     done
   done;
   c
-
-let to_arrays m =
-  Array.init m.nrows (fun i -> Array.sub m.data (i * m.ncols) m.ncols)
-
-let pp ppf m =
-  for i = 0 to m.nrows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.ncols - 1 do
-      Format.fprintf ppf " %10.4g" (get m i j)
-    done;
-    Format.fprintf ppf " ]@."
-  done

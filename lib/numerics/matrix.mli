@@ -3,8 +3,10 @@
     cell has 2-4 unknown nodes), so dense storage is the right tool; the
     sparse path ({!Sparse}) exists for larger array-level systems. *)
 
-type t
-(** A dense [rows] x [cols] matrix. *)
+type t = private { data : float array; nrows : int; ncols : int }
+(** A dense [rows] x [cols] matrix; entry (i, j) is
+    [data.(i * ncols + j)].  The layout is visible so that kernels in
+    other modules ({!Lu}) index it without a call per entry. *)
 
 val create : rows:int -> cols:int -> t
 (** Zero-filled matrix. *)
@@ -15,7 +17,6 @@ val of_arrays : float array array -> t
 (** Copies a rectangular array-of-rows. Requires equal row lengths. *)
 
 val rows : t -> int
-val cols : t -> int
 
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
@@ -31,8 +32,3 @@ val mat_vec : t -> float array -> float array
 
 val transpose : t -> t
 val mat_mul : t -> t -> t
-
-val to_arrays : t -> float array array
-(** Fresh row-array copy (for display / tests). *)
-
-val pp : Format.formatter -> t -> unit

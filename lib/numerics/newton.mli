@@ -32,7 +32,12 @@ val solve :
 
     [tol] bounds ||F||_inf (default 1e-12, i.e. picoampere-scale KCL error).
     Not raising on failure is deliberate: continuation strategies
-    (source stepping) inspect [converged] and retry. *)
+    (source stepping) inspect [converged] and retry.
+
+    Each iterate's residual is computed once, by the line search that
+    accepts it.  [residual] and [jacobian] may each refill and return one
+    buffer: a result is consumed before the next call, and the LU works
+    on a copy in buffers allocated once per solve. *)
 
 val solve_fd :
   ?tol:float ->

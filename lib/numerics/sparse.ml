@@ -19,14 +19,6 @@ module Builder = struct
       b.xs <- x :: b.xs;
       b.count <- b.count + 1
     end
-
-  let dim b = b.n
-
-  let clear b =
-    b.is <- [];
-    b.js <- [];
-    b.xs <- [];
-    b.count <- 0
 end
 
 type t = {

@@ -15,9 +15,6 @@ module Builder : sig
 
   val add : t -> int -> int -> float -> unit
   (** [add b i j x] stamps [x] into entry (i,j). *)
-
-  val dim : t -> int
-  val clear : t -> unit
 end
 
 type t

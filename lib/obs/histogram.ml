@@ -2,8 +2,11 @@ let default_buckets = 64
 let default_lo = 1e-9
 let ratio = sqrt 2.0
 
+type kind = Seconds | Ratio
+
 type t = {
   h_name : string;
+  kind : kind;
   sample : int;
   lo : float;
   n_buckets : int;
@@ -19,9 +22,10 @@ type t = {
 let registry_lock = Mutex.create ()
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
-let make ~sample ~lo ~buckets name =
+let make ~kind ~sample ~lo ~buckets name =
   let slots = Control.max_slots in
   { h_name = name;
+    kind;
     sample = max 1 sample;
     lo;
     n_buckets = max 1 buckets;
@@ -33,13 +37,14 @@ let make ~sample ~lo ~buckets name =
     countdown = Array.make slots 1;
     gc_hits = Array.make slots 0 }
 
-let create ?(sample = 1) ?(lo = default_lo) ?(buckets = default_buckets) name =
+let create ?(kind = Seconds) ?(sample = 1) ?(lo = default_lo)
+    ?(buckets = default_buckets) name =
   Mutex.lock registry_lock;
   let h =
     match Hashtbl.find_opt registry name with
     | Some h -> h
     | None ->
-      let h = make ~sample ~lo ~buckets name in
+      let h = make ~kind ~sample ~lo ~buckets name in
       Hashtbl.add registry name h;
       h
   in
@@ -108,6 +113,7 @@ let time t f =
 
 type snapshot = {
   name : string;
+  kind : kind;
   sample : int;
   lo : float;
   count : int;
@@ -137,6 +143,7 @@ let snapshot t =
     if t.maxs.(s) > !max_s then max_s := t.maxs.(s)
   done;
   { name = t.h_name;
+    kind = t.kind;
     sample = t.sample;
     lo = t.lo;
     count = !count;
@@ -155,6 +162,7 @@ let merge (a : snapshot) (b : snapshot) =
   if a.lo <> b.lo || Array.length a.buckets <> Array.length b.buckets then
     invalid_arg "Histogram.merge: bucket layouts differ";
   { name = a.name;
+    kind = a.kind;
     sample = a.sample;
     lo = a.lo;
     count = a.count + b.count;
@@ -201,6 +209,7 @@ let diff (newer : snapshot) (older : snapshot) =
     end
   in
   { name = newer.name;
+    kind = newer.kind;
     sample = newer.sample;
     lo = newer.lo;
     count;
@@ -267,6 +276,9 @@ let pp_s v =
   else if v >= 1e-6 then Printf.sprintf "%.2f us" (v *. 1e6)
   else Printf.sprintf "%.0f ns" (v *. 1e9)
 
+let pp_value kind v =
+  match kind with Seconds -> pp_s v | Ratio -> Printf.sprintf "%.4f" v
+
 let print_report ?(channel = stdout) () =
   let snaps = List.filter (fun s -> s.count > 0) (snapshots ()) in
   if snaps <> [] then begin
@@ -274,11 +286,12 @@ let print_report ?(channel = stdout) () =
       "histogram" "samples" "p50" "p90" "p99" "max" "mean" "gc-hit";
     List.iter
       (fun s ->
+        let pp = pp_value s.kind in
         Printf.fprintf channel "%-28s %9d %10s %10s %10s %10s %10s %7d\n"
           s.name s.count
-          (pp_s (percentile s 0.50))
-          (pp_s (percentile s 0.90))
-          (pp_s (percentile s 0.99))
-          (pp_s s.max_s) (pp_s (mean s)) s.gc_coincident)
+          (pp (percentile s 0.50))
+          (pp (percentile s 0.90))
+          (pp (percentile s 0.99))
+          (pp s.max_s) (pp (mean s)) s.gc_coincident)
       snaps
   end

@@ -21,13 +21,19 @@
 
 type t
 
+type kind =
+  | Seconds  (** latencies; reports print them as s / ms / us / ns *)
+  | Ratio    (** unitless values; reports print them as plain numbers *)
+
 val default_buckets : int  (** 64 *)
 
 val default_lo : float  (** 1e-9 s: upper edge of bucket 0 is lo * sqrt 2 *)
 
-val create : ?sample:int -> ?lo:float -> ?buckets:int -> string -> t
+val create :
+  ?kind:kind -> ?sample:int -> ?lo:float -> ?buckets:int -> string -> t
 (** Get or create the histogram registered under this name (parameters
-    are only applied on first creation).  [sample] is the per-slot
+    are only applied on first creation).  [kind] (default [Seconds])
+    says what the recorded values measure.  [sample] is the per-slot
     sampling period of {!tick} / {!time} (default 1: every call). *)
 
 val observe : t -> float -> unit
@@ -61,6 +67,7 @@ val bucket_of : t -> float -> int
 
 type snapshot = {
   name : string;
+  kind : kind;
   sample : int;       (** sampling period the histogram records at *)
   lo : float;
   count : int;        (** recorded observations (samples, not calls) *)
@@ -111,4 +118,5 @@ val reset_all : unit -> unit
 
 val print_report : ?channel:out_channel -> unit -> unit
 (** Table of non-empty histograms: samples, p50/p90/p99, max, mean,
-    and the GC-coincident sample count. *)
+    and the GC-coincident sample count.  Values print in each
+    histogram's {!kind}: durations with a time unit, ratios bare. *)

@@ -362,7 +362,8 @@ let scan_block = 8
    fully-scanned lines when observability is on ([--stats] / serving),
    read back as quantiles by [--stats], BENCH_explain.json and the
    Prometheus exposition. *)
-let bound_gap_hist = Obs.Histogram.create ~sample:1 "opt.bound_gap"
+let bound_gap_hist = Obs.Histogram.create ~kind:Obs.Histogram.Ratio ~sample:1
+    "opt.bound_gap"
 
 let journal_design (g : Array_model.Geometry.t) ~vssc =
   { Obs.Search.nr = g.Array_model.Geometry.nr;

@@ -89,6 +89,14 @@ let levels_of_json j =
 
 let solve ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner ?celsius
     ~flavor () =
+  (* Spelling out the defaults solves the same pins, so it shares their
+     memo and disk keys. *)
+  let corner = match corner with Some Finfet.Corners.TT -> None | c -> c in
+  let celsius =
+    match celsius with
+    | Some t when t = Finfet.Thermal.t_ref_celsius -> None
+    | t -> t
+  in
   Runtime.Memo.find_or_compute_tiered solve_cache
     (flavor, delta, points, corner, celsius)
     ~load:(fun key ->

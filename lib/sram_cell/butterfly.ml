@@ -38,16 +38,33 @@ let lobe ~upper ~lower =
   let lo = upper.inputs.(0) in
   let hi = upper.inputs.(Array.length upper.inputs - 1) in
   let span = hi -. lo in
+  (* Both curves are sampled once, on [Roots.find_bracket]'s 64-cell grid.
+     [u x -. x -. b] groups as [(u x -. x) -. b], and [v -. b] is exactly
+     [v +. (-.b)], so shifting the samples by each offset gives the values
+     [find_bracket] would compute, and the same brackets. *)
+  let n = 64 in
+  let step = (hi -. lo) /. float_of_int n in
+  let grid = Array.init (n + 1) (fun i -> if i = 0 then lo else lo +. (float_of_int i *. step)) in
+  let du = Array.map (fun x -> u x -. x) grid in
+  let dl = Array.map (fun y -> l y -. y) grid in
+  (* The first cell where the shifted samples change sign. *)
+  let bracket d shift =
+    let rec scan i prev =
+      if i > n then None
+      else begin
+        let cur = d.(i) +. shift in
+        if prev *. cur <= 0.0 then Some (grid.(i - 1), grid.(i)) else scan (i + 1) cur
+      end
+    in
+    scan 1 (d.(0) +. shift)
+  in
   let side_at b =
     (* Intersection with the upper curve: u(x) = x + b. *)
     let g x = u x -. x -. b in
     (* Intersection with the lower curve: point (l(y), y) on the line means
        l(y) = y - b. *)
     let h y = l y -. y +. b in
-    match
-      ( Numerics.Roots.find_bracket g ~lo ~hi ~n:64,
-        Numerics.Roots.find_bracket h ~lo ~hi ~n:64 )
-    with
+    match (bracket du (-.b), bracket dl b) with
     | Some (glo, ghi), Some (hlo, hhi) ->
       let x1 = Numerics.Roots.brent ~tol:1e-9 g ~lo:glo ~hi:ghi in
       let y2 = Numerics.Roots.brent ~tol:1e-9 h ~lo:hlo ~hi:hhi in

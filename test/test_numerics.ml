@@ -204,6 +204,23 @@ let matrix_tests =
         let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
         Alcotest.check_raises "singular" Numerics.Lu.Singular (fun () ->
             ignore (Numerics.Lu.factorize a)));
+    case "in-place lu matches the allocating path bit-for-bit" (fun () ->
+        let a =
+          Numerics.Matrix.of_arrays
+            [| [| 0.; 2.; 1. |]; [| 3.; 1e-3; 4. |]; [| 1.; 5.; 0.5 |] |]
+        in
+        let b = [| 1.; 2.; 3. |] in
+        let expected = Numerics.Lu.solve a b in
+        let lu = Numerics.Matrix.copy a and perm = Array.make 3 (-1) in
+        let x = Array.make 3 nan in
+        Numerics.Lu.factorize_in_place lu perm;
+        Numerics.Lu.solve_into lu perm b x;
+        Array.iteri
+          (fun i e ->
+            Alcotest.(check int64) (Printf.sprintf "x%d bits" i)
+              (Int64.bits_of_float e) (Int64.bits_of_float x.(i)))
+          expected;
+        Alcotest.(check (array (float 0.0))) "rhs untouched" [| 1.; 2.; 3. |] b);
     case "least squares recovers a line" (fun () ->
         (* Overdetermined y = 2x + 1 exactly. *)
         let a =
@@ -309,6 +326,20 @@ let newton_tests =
         Alcotest.(check bool) "converged" true r.Numerics.Newton.converged;
         check_close ~tol:1e-6 "x" (sqrt 2.0) r.Numerics.Newton.x.(0);
         check_close ~tol:1e-6 "y" (sqrt 2.0) r.Numerics.Newton.x.(1));
+    case "each iterate's residual is evaluated once" (fun () ->
+        (* A linear system whose first step (0.0625, inside the trust
+           region) lands exactly on the root: the solve needs only the
+           start's residual and the accepted point's. *)
+        let calls = ref 0 in
+        let residual v =
+          incr calls;
+          [| (2.0 *. v.(0)) -. 1.0 |]
+        in
+        let jacobian _ = Numerics.Matrix.of_arrays [| [| 2.0 |] |] in
+        let r = Numerics.Newton.solve ~residual ~jacobian ~x0:[| 0.4375 |] () in
+        Alcotest.(check bool) "converged" true r.Numerics.Newton.converged;
+        Alcotest.(check int) "iterations" 1 r.Numerics.Newton.iterations;
+        Alcotest.(check int) "residual calls" 2 !calls);
     case "analytic jacobian path" (fun () ->
         let residual v = [| exp v.(0) -. 2.0 |] in
         let jacobian v =

@@ -58,6 +58,38 @@ let histogram_tests =
         Alcotest.(check int)
           "bucket totals match count" 3
           (Array.fold_left ( + ) 0 s.Obs.Histogram.buckets));
+    case "report prints a ratio bare and a latency with its unit" (fun () ->
+        let ratio = fresh_name "ratio" and latency = fresh_name "latency" in
+        List.iter
+          (Obs.Histogram.observe (Obs.Histogram.create ~kind:Obs.Histogram.Ratio ratio))
+          [ 0.1116; 0.1116 ];
+        Obs.Histogram.observe (Obs.Histogram.create latency) 0.1116;
+        let path = Filename.temp_file "histogram" ".txt" in
+        let oc = open_out path in
+        Obs.Histogram.print_report ~channel:oc ();
+        close_out oc;
+        let lines = In_channel.with_open_text path In_channel.input_all in
+        Sys.remove path;
+        let row name =
+          match
+            List.find_opt
+              (fun l -> List.mem name (String.split_on_char ' ' l))
+              (String.split_on_char '\n' lines)
+          with
+          | Some l -> l
+          | None -> Alcotest.failf "no report row for %s" name
+        in
+        let contains s sub =
+          let n = String.length sub in
+          let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+          go 0
+        in
+        let r = row ratio in
+        Alcotest.(check bool) ("ratio row has no time unit: " ^ r) false
+          (List.exists (contains r) [ " s"; "ms"; "us"; "ns" ]);
+        Alcotest.(check bool) ("ratio row prints the value: " ^ r) true (contains r "0.1116");
+        let l = row latency in
+        Alcotest.(check bool) ("latency row in ms: " ^ l) true (contains l "111.60 ms"));
     case "empty snapshot percentile is 0" (fun () ->
         let h = Obs.Histogram.create (fresh_name "empty") in
         let s = Obs.Histogram.snapshot h in

@@ -51,6 +51,68 @@ let yield_tests =
         check_close "cache" a b;
         Alcotest.(check bool) "meets rule at 550" true (a >= Finfet.Tech.min_margin)) ]
 
+(* Bit-for-bit pins of what the analog layer hands the optimizer.  The
+   sweep checksum hashes EDP bits downstream of these, so a last-bit
+   change in the DC solver, the SNM extraction or the write transient
+   fails here first, by name, instead of as an opaque checksum change. *)
+let check_bits msg expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual))
+  then Alcotest.failf "%s: expected %h, got %h" msg expected actual
+
+let analog_pin_case flavor ~vddc ~vwl ~hsnm ~delays ~read_op_iterations =
+  case (Finfet.Library.flavor_to_string flavor ^ " yield pins, write delays and read OP are bit-exact")
+    (fun () ->
+      let l = Opt.Yield.solve ~flavor () in
+      check_bits "vddc_min" vddc l.Opt.Yield.vddc_min;
+      check_bits "vwl_min" vwl l.Opt.Yield.vwl_min;
+      check_bits "hsnm_nominal" hsnm l.Opt.Yield.hsnm_nominal;
+      let lib = Lazy.force Finfet.Library.default in
+      let p = Array_model.Periphery.characterize ~lib ~cell_flavor:flavor () in
+      let table = Numerics.Interp.Table1d.ys p.Array_model.Periphery.write_cell_delay in
+      Alcotest.(check int) "delay table size" (Array.length delays) (Array.length table);
+      Array.iteri (fun i d -> check_bits (Printf.sprintf "write delay %d" i) d table.(i)) delays;
+      let cell =
+        Finfet.Variation.nominal_cell ~nfet:(Finfet.Library.nfet lib flavor)
+          ~pfet:(Finfet.Library.pfet lib flavor)
+      in
+      let netlist, _ = Sram_cell.Sram6t.build ~cell (Sram_cell.Sram6t.read ()) in
+      let op = Spice.Dc.operating_point netlist in
+      Alcotest.(check bool) "read OP converged" true op.Spice.Dc.converged;
+      Alcotest.(check int) "read OP iterations" read_op_iterations op.Spice.Dc.iterations)
+
+let analog_pin_tests =
+  [ analog_pin_case Finfet.Library.Hvt ~vddc:0x1.147ae147ae148p-1
+      ~vwl:0x1.199999999999ap-1 ~hsnm:0x1.97e3c16510d84p-3
+      ~delays:
+        [| 0x1.50663e95f3062p-38; 0x1.6ce9db9eda2a8p-39; 0x1.feb1bd5ac1bb9p-40;
+           0x1.93cd141a21d22p-40; 0x1.56e9b80cf9f59p-40; 0x1.225f3718685fbp-40;
+           0x1.f8a0efc2cbd0cp-41 |]
+      ~read_op_iterations:7;
+    analog_pin_case Finfet.Library.Lvt ~vddc:0x1.23d70a3d70a3ep-1
+      ~vwl:0x1.051eb851eb852p-1 ~hsnm:0x1.936d62d8dfc42p-3
+      ~delays:
+        [| 0x1.1c20ed352b796p-39; 0x1.9f92401afc284p-40; 0x1.53e10a135bc07p-40;
+           0x1.27f04e769f4c2p-40; 0x1.0bbc2d256dd15p-40; 0x1.e1ba0b6d780f2p-41;
+           0x1.b732e0b4ce0ecp-41 |]
+      ~read_op_iterations:6;
+    case "spelled-out TT / 25 C shares the default solve's memo entry" (fun () ->
+        Runtime.Memo.reset_all ();
+        let explicit =
+          Opt.Yield.solve ~corner:Finfet.Corners.TT
+            ~celsius:Finfet.Thermal.t_ref_celsius ~flavor:Finfet.Library.Hvt ()
+        in
+        let default = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
+        Alcotest.(check bool) "same pins" true (explicit = default);
+        match
+          List.find_opt
+            (fun (s : Runtime.Memo.stats) -> s.Runtime.Memo.name = "yield.solve")
+            (Runtime.Memo.registered_stats ())
+        with
+        | None -> Alcotest.fail "yield.solve memo not registered"
+        | Some s ->
+          Alcotest.(check int) "misses" 1 s.Runtime.Memo.misses;
+          Alcotest.(check int) "hits" 1 s.Runtime.Memo.hits) ]
+
 let space_tests =
   [ case "default grids match the paper's ranges" (fun () ->
         let s = Opt.Space.default in
@@ -458,6 +520,7 @@ let array_yield_tests =
 let () =
   Alcotest.run "opt"
     [ ("yield", yield_tests);
+      ("analog_pins", analog_pin_tests);
       ("space", space_tests);
       ("exhaustive", exhaustive_tests);
       ("objective", objective_tests);
