@@ -46,8 +46,10 @@ let solve_uncached ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner
     -. delta
   in
   let vddc_min =
-    if rsnm_gap vdd >= 0.0 then vdd
-    else snap_up (Numerics.Roots.bisect ~tol:1e-3 rsnm_gap ~lo:vdd ~hi:0.80)
+    let f_lo = rsnm_gap vdd in
+    if f_lo >= 0.0 then vdd
+    else
+      snap_up (Numerics.Roots.bisect ~tol:1e-3 ~f_lo rsnm_gap ~lo:vdd ~hi:0.80)
   in
   (* WM(v_wl) = v_wl - minimum flipping level, so the minimum write level
      is one bisection of the flip point away. *)

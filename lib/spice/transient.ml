@@ -48,7 +48,8 @@ let initial_state ?(ic = []) netlist =
   List.iter (fun (node, volts) -> v.(node) <- volts) ic;
   (v, init.Dc.source_currents)
 
-let run ?dt ?ic ?(method_ = Backward_euler) ~t_stop netlist =
+let run ?dt ?ic ?(method_ = Backward_euler) ?(until = fun _ -> false) ~t_stop
+    netlist =
   assert (t_stop > 0.0);
   let dt = match dt with Some d -> d | None -> t_stop /. 400.0 in
   assert (dt > 0.0);
@@ -60,35 +61,47 @@ let run ?dt ?ic ?(method_ = Backward_euler) ~t_stop netlist =
   let source_currents = Array.make (steps + 1) [||] in
   voltages.(0) <- Array.copy v0;
   source_currents.(0) <- Array.copy i_src0;
-  let warm = ref None in
-  let state = ref v0 in
-  let i_caps = ref (Array.make (Array.length caps) 0.0) in
-  for k = 1 to steps do
-    let t = min (float_of_int k *. dt) t_stop in
-    let h = t -. times.(k - 1) in
-    if h > 0.0 then begin
-      (* The trapezoidal rule needs each capacitor's entering current; the
-         first step has no history, so it runs backward Euler (whose
-         result supplies consistent currents for step two). *)
-      let method_now = if k = 1 then Backward_euler else method_ in
-      let s, i' =
-        step ~method_:method_now ~netlist ~caps ~warm:!warm ~state:!state
-          ~i_caps:!i_caps ~t ~h
-      in
-      warm := Some (Dc.solution_vector s);
-      state := s.Dc.voltages;
-      i_caps := i';
-      times.(k) <- t;
-      voltages.(k) <- Array.copy s.Dc.voltages;
-      source_currents.(k) <- Array.copy s.Dc.source_currents
-    end
+  (* Runs steps [k..steps] and returns the last one recorded.  A step never
+     reads a later one, so stopping at [until] leaves every recorded step
+     bit-identical to the full run's. *)
+  let rec loop k ~warm ~state ~i_caps =
+    if k > steps then steps
     else begin
-      times.(k) <- times.(k - 1);
-      voltages.(k) <- voltages.(k - 1);
-      source_currents.(k) <- source_currents.(k - 1)
+      let t = min (float_of_int k *. dt) t_stop in
+      let h = t -. times.(k - 1) in
+      if h > 0.0 then begin
+        (* The trapezoidal rule needs each capacitor's entering current; the
+           first step has no history, so it runs backward Euler (whose
+           result supplies consistent currents for step two). *)
+        let method_now = if k = 1 then Backward_euler else method_ in
+        let s, i' =
+          step ~method_:method_now ~netlist ~caps ~warm ~state ~i_caps ~t ~h
+        in
+        times.(k) <- t;
+        voltages.(k) <- Array.copy s.Dc.voltages;
+        source_currents.(k) <- Array.copy s.Dc.source_currents;
+        if until s.Dc.voltages then k
+        else
+          loop (k + 1) ~warm:(Some (Dc.solution_vector s)) ~state:s.Dc.voltages
+            ~i_caps:i'
+      end
+      else begin
+        times.(k) <- times.(k - 1);
+        voltages.(k) <- voltages.(k - 1);
+        source_currents.(k) <- source_currents.(k - 1);
+        loop (k + 1) ~warm ~state ~i_caps
+      end
     end
-  done;
-  { times; voltages; source_currents }
+  in
+  let last =
+    loop 1 ~warm:None ~state:v0 ~i_caps:(Array.make (Array.length caps) 0.0)
+  in
+  if last = steps then { times; voltages; source_currents }
+  else begin
+    let keep a = Array.sub a 0 (last + 1) in
+    { times = keep times; voltages = keep voltages;
+      source_currents = keep source_currents }
+  end
 
 let max_abs_diff a b =
   let worst = ref 0.0 in

@@ -25,6 +25,7 @@ val run :
   ?dt:float ->
   ?ic:(Netlist.node * float) list ->
   ?method_:method_ ->
+  ?until:(float array -> bool) ->
   t_stop:float ->
   Netlist.t ->
   trace
@@ -35,7 +36,11 @@ val run :
     [ic] pins initial node voltages; all other nodes start from the DC
     operating point at t = 0 computed with sources at their t = 0 values.
     Initial conditions are applied after that solve, so use them for
-    storage nodes whose state is not determined by the sources. *)
+    storage nodes whose state is not determined by the sources.
+    [until] is tested on each accepted step's node voltages; the run stops
+    after the first step that satisfies it and returns the trace up to and
+    including that step.  Steps never depend on later ones, so that trace
+    is a bitwise prefix of the full one.  The default never stops. *)
 
 val run_adaptive :
   ?dt_min:float ->

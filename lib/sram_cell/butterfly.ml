@@ -58,28 +58,49 @@ let lobe ~upper ~lower =
     in
     scan 1 (d.(0) +. shift)
   in
-  let side_at b =
+  (* A square's side is [x1 -. (y2 -. b)] with [x1] Brent's root in
+     [glo, ghi] and [y2] its root in [hlo, hhi].  Brent returns a point
+     inside its bracket and rounded subtraction is monotone, so
+     [ghi -. (hlo -. b)] bounds the side from above.  Offsets are solved in
+     descending bound order until no bound can beat the best side; the
+     maximum does not depend on visiting order, so it is the same float as
+     solving every offset.  An offset without both brackets never wins. *)
+  let steps = 160 in
+  let candidates =
+    Array.of_list
+      (List.filter_map
+         (fun k ->
+           let b = span *. float_of_int k /. float_of_int steps in
+           match (bracket du (-.b), bracket dl b) with
+           | Some ((_, ghi) as g), Some ((hlo, _) as h) ->
+             Some (ghi -. (hlo -. b), b, g, h)
+           | None, (Some _ | None) | Some _, None -> None)
+         (List.init (steps - 1) (fun k -> k + 1)))
+  in
+  Array.sort (fun (x, _, _, _) (y, _, _, _) -> Float.compare y x) candidates;
+  let side b (glo, ghi) (hlo, hhi) =
     (* Intersection with the upper curve: u(x) = x + b. *)
     let g x = u x -. x -. b in
     (* Intersection with the lower curve: point (l(y), y) on the line means
        l(y) = y - b. *)
     let h y = l y -. y +. b in
-    match (bracket du (-.b), bracket dl b) with
-    | Some (glo, ghi), Some (hlo, hhi) ->
-      let x1 = Numerics.Roots.brent ~tol:1e-9 g ~lo:glo ~hi:ghi in
-      let y2 = Numerics.Roots.brent ~tol:1e-9 h ~lo:hlo ~hi:hhi in
-      let x2 = y2 -. b in
-      x1 -. x2
-    | None, (Some _ | None) | Some _, None -> neg_infinity
+    let x1 = Numerics.Roots.brent ~tol:1e-9 g ~lo:glo ~hi:ghi in
+    let y2 = Numerics.Roots.brent ~tol:1e-9 h ~lo:hlo ~hi:hhi in
+    let x2 = y2 -. b in
+    x1 -. x2
   in
-  let best = ref 0.0 in
-  let steps = 160 in
-  for k = 1 to steps - 1 do
-    let b = span *. float_of_int k /. float_of_int steps in
-    let s = side_at b in
-    if s > !best then best := s
-  done;
-  !best
+  let rec best_from i best =
+    if i >= Array.length candidates then best
+    else begin
+      let bound, b, g, h = candidates.(i) in
+      if bound <= best then best
+      else begin
+        let s = side b g h in
+        best_from (i + 1) (if s > best then s else best)
+      end
+    end
+  in
+  best_from 0 0.0
 
 let snm_of_butterfly { curve_r; curve_l } =
   (* Upper-left eye: curve R bounds it from above, curve L from the

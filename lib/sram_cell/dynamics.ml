@@ -11,8 +11,16 @@ let write_delay ?(t_stop = 30e-12) ?(wl_rise = 1e-12) ~cell condition =
   in
   let netlist, nodes = Sram6t.build ~with_node_caps:true ~wl_wave ~cell condition in
   let vdd = condition.Sram6t.vdd in
+  (* Both scans below return the first crossing, and once WL is past half
+     swing and Q/QB have crossed, both first crossings are in the trace: the
+     rest of it would never be read.  A write that never flips still runs to
+     [t_stop]. *)
+  let until v =
+    v.(nodes.Sram6t.wl) >= 0.5 *. vdd
+    && v.(nodes.Sram6t.q) -. v.(nodes.Sram6t.qb) <= 0.0
+  in
   let trace =
-    Spice.Transient.run ~dt:(t_stop /. 600.0)
+    Spice.Transient.run ~dt:(t_stop /. 600.0) ~until
       ~ic:[ (nodes.Sram6t.q, vdd); (nodes.Sram6t.qb, 0.0) ]
       ~t_stop netlist
   in

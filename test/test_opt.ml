@@ -55,10 +55,6 @@ let yield_tests =
    sweep checksum hashes EDP bits downstream of these, so a last-bit
    change in the DC solver, the SNM extraction or the write transient
    fails here first, by name, instead of as an opaque checksum change. *)
-let check_bits msg expected actual =
-  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual))
-  then Alcotest.failf "%s: expected %h, got %h" msg expected actual
-
 let analog_pin_case flavor ~vddc ~vwl ~hsnm ~delays ~read_op_iterations =
   case (Finfet.Library.flavor_to_string flavor ^ " yield pins, write delays and read OP are bit-exact")
     (fun () ->

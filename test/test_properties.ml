@@ -7,6 +7,8 @@ let pfet_hvt = Finfet.Library.pfet lib Finfet.Library.Hvt
 
 let dcaps = Array_model.Caps.device_caps_of ~nfet:nfet_hvt ~pfet:pfet_hvt ()
 
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
 (* Generators *)
 
 let pow2 lo hi =
@@ -120,6 +122,74 @@ let prop_stack_bounded_by_pull_down =
         Finfet.Device.ids nfet_hvt ~vgs:(vddc -. vssc) ~vds:(0.45 -. vssc)
       in
       stack <= lone +. 1e-12)
+
+(* --- sram cell --- *)
+
+(* The lobe search before bound pruning: Brent at all 159 offsets. *)
+let reference_lobe ~upper ~lower =
+  let open Sram_cell.Butterfly in
+  let u = Numerics.Interp.pchip ~xs:upper.inputs ~ys:upper.outputs in
+  let l = Numerics.Interp.pchip ~xs:lower.inputs ~ys:lower.outputs in
+  let lo = upper.inputs.(0) in
+  let hi = upper.inputs.(Array.length upper.inputs - 1) in
+  let span = hi -. lo in
+  let n = 64 in
+  let step = (hi -. lo) /. float_of_int n in
+  let grid = Array.init (n + 1) (fun i -> if i = 0 then lo else lo +. (float_of_int i *. step)) in
+  let du = Array.map (fun x -> u x -. x) grid in
+  let dl = Array.map (fun y -> l y -. y) grid in
+  let bracket d shift =
+    let rec scan i prev =
+      if i > n then None
+      else begin
+        let cur = d.(i) +. shift in
+        if prev *. cur <= 0.0 then Some (grid.(i - 1), grid.(i)) else scan (i + 1) cur
+      end
+    in
+    scan 1 (d.(0) +. shift)
+  in
+  let side_at b =
+    let g x = u x -. x -. b in
+    let h y = l y -. y +. b in
+    match (bracket du (-.b), bracket dl b) with
+    | Some (glo, ghi), Some (hlo, hhi) ->
+      let x1 = Numerics.Roots.brent ~tol:1e-9 g ~lo:glo ~hi:ghi in
+      let y2 = Numerics.Roots.brent ~tol:1e-9 h ~lo:hlo ~hi:hhi in
+      x1 -. (y2 -. b)
+    | None, (Some _ | None) | Some _, None -> neg_infinity
+  in
+  let best = ref 0.0 in
+  let steps = 160 in
+  for k = 1 to steps - 1 do
+    let s = side_at (span *. float_of_int k /. float_of_int steps) in
+    if s > !best then best := s
+  done;
+  !best
+
+let prop_pruned_lobes_match_reference =
+  QCheck.Test.make
+    ~name:"bound-pruned SNM lobes equal the all-offset search bit for bit"
+    ~count:100
+    QCheck.(quad bool (int_bound 4) (float_range 0.30 0.80) bool)
+    (fun (hvt, corner_i, vddc, access_on) ->
+      let flavor = if hvt then Finfet.Library.Hvt else Finfet.Library.Lvt in
+      let corner = List.nth Finfet.Corners.all corner_i in
+      let cell =
+        Finfet.Corners.cell corner ~nfet:(Finfet.Library.nfet lib flavor)
+          ~pfet:(Finfet.Library.pfet lib flavor)
+      in
+      let condition =
+        if access_on then Sram_cell.Sram6t.read ~vddc ()
+        else Sram_cell.Sram6t.hold ~vdd:vddc ()
+      in
+      let ({ Sram_cell.Butterfly.curve_r; curve_l } as bf) =
+        Sram_cell.Butterfly.trace ~cell ~access_on condition
+      in
+      let got = Sram_cell.Butterfly.snm_of_butterfly bf in
+      bits_equal (reference_lobe ~upper:curve_r ~lower:curve_l)
+        got.Sram_cell.Butterfly.lobe_high
+      && bits_equal (reference_lobe ~upper:curve_l ~lower:curve_r)
+           got.Sram_cell.Butterfly.lobe_low)
 
 (* --- array model --- *)
 
@@ -255,8 +325,6 @@ let corner_assists =
     { Array_model.Components.vddc = 0.45; vssc = -0.0; vwl = 0.45 };
     { Array_model.Components.vddc = 0.5; vssc = -4.9e-324; vwl = 0.5 };
     { Array_model.Components.vddc = 0.55; vssc = -1e-310; vwl = 0.55 } ]
-
-let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let prop_scan_bit_identical =
   (* Stricter than [Float.equal]: raw IEEE bit comparison, so a -0.0
@@ -554,6 +622,7 @@ let () =
            prop_power_law_roundtrip; prop_uniform_range ]);
       ("spice", List.map to_alco [ prop_divider; prop_step_waveform_bounds ]);
       ("device", List.map to_alco [ prop_ids_monotone_vgs; prop_stack_bounded_by_pull_down ]);
+      ("sram_cell", List.map to_alco [ prop_pruned_lobes_match_reference ]);
       ("array_model",
        List.map to_alco
          [ prop_caps_positive; prop_metrics_invariants; prop_physical_not_cheaper;

@@ -224,6 +224,38 @@ let transient_tests =
         let last = Array.length va - 1 in
         Alcotest.(check bool) "separated" true (va.(last) -. vb.(last) > 0.8 *. vdd *. 0.9)) ]
 
+let check_trace_prefix ~len full part =
+  let open Spice.Transient in
+  Alcotest.(check int) "length" len (Array.length part.times);
+  for k = 0 to len - 1 do
+    check_bits (Printf.sprintf "time %d" k) full.times.(k) part.times.(k);
+    Array.iteri
+      (fun i v -> check_bits (Printf.sprintf "v%d at %d" i k) v part.voltages.(k).(i))
+      full.voltages.(k);
+    Array.iteri
+      (fun i c -> check_bits (Printf.sprintf "i%d at %d" i k) c part.source_currents.(k).(i))
+      full.source_currents.(k)
+  done
+
+let early_stop_tests =
+  let run ?until () =
+    let n, out = rc_netlist () in
+    (out, Spice.Transient.run ?until ~t_stop:5e-6 ~ic:[ (out, 0.0) ] n)
+  in
+  [ case "until returns the bitwise prefix ending at its first step" (fun () ->
+        let out, full = run () in
+        let until v = v.(out) >= 0.5 in
+        let _, early = run ~until () in
+        let rec first k = if until full.Spice.Transient.voltages.(k) then k else first (k + 1) in
+        let stop = first 1 in
+        Alcotest.(check bool) "stops early" true
+          (stop < Array.length full.Spice.Transient.times - 1);
+        check_trace_prefix ~len:(stop + 1) full early);
+    case "until that never holds returns the full trace" (fun () ->
+        let _, full = run () in
+        let _, never = run ~until:(fun _ -> false) () in
+        check_trace_prefix ~len:(Array.length full.Spice.Transient.times) full never) ]
+
 let integration_tests =
   let exact t = 1.0 -. exp (-.t /. 1e-6) in
   let err ?method_ dt =
@@ -405,6 +437,7 @@ let () =
     [ ("netlist", netlist_tests);
       ("dc", dc_tests);
       ("transient", transient_tests);
+      ("early_stop", early_stop_tests);
       ("integration", integration_tests);
       ("ac", ac_tests);
       ("deck", deck_tests) ]

@@ -190,6 +190,82 @@ let dynamics_tests =
         in
         Alcotest.(check bool) "boost" true (boosted > 2.0 *. base)) ]
 
+(* The write delay as it was before the transient stopped at the flip: the
+   full 30 ps trace, scanned for the first WL and Q/QB crossings. *)
+let reference_write_delay ~cell condition =
+  let t_stop = 30e-12 and wl_rise = 1e-12 in
+  let wl_wave =
+    Spice.Netlist.Step
+      { t_delay = 1e-12; t_rise = wl_rise; v0 = 0.0; v1 = condition.Sram_cell.Sram6t.vwl }
+  in
+  let netlist, nodes =
+    Sram_cell.Sram6t.build ~with_node_caps:true ~wl_wave ~cell condition
+  in
+  let vdd = condition.Sram_cell.Sram6t.vdd in
+  let trace =
+    Spice.Transient.run ~dt:(t_stop /. 600.0)
+      ~ic:[ (nodes.Sram_cell.Sram6t.q, vdd); (nodes.Sram_cell.Sram6t.qb, 0.0) ]
+      ~t_stop netlist
+  in
+  let wl_cross_time =
+    match
+      Spice.Transient.crossing_time trace ~node:nodes.Sram_cell.Sram6t.wl
+        ~threshold:(0.5 *. vdd) ~direction:`Rising
+    with
+    | Some t -> t
+    | None -> 1e-12 +. (0.5 *. wl_rise)
+  in
+  let q = Spice.Transient.node_trace trace nodes.Sram_cell.Sram6t.q in
+  let qb = Spice.Transient.node_trace trace nodes.Sram_cell.Sram6t.qb in
+  let times = trace.Spice.Transient.times in
+  let rec find k =
+    if k >= Array.length times then None
+    else if q.(k) -. qb.(k) <= 0.0 then begin
+      let d_prev = q.(k - 1) -. qb.(k - 1) and d_cur = q.(k) -. qb.(k) in
+      let frac = if d_cur = d_prev then 0.0 else d_prev /. (d_prev -. d_cur) in
+      Some (times.(k - 1) +. (frac *. (times.(k) -. times.(k - 1))))
+    end
+    else find (k + 1)
+  in
+  match find 1 with
+  | Some t -> (t -. wl_cross_time, true, wl_cross_time)
+  | None -> (infinity, false, wl_cross_time)
+
+let early_stop_tests =
+  let vwls = [ 0.30; 0.35; 0.38; 0.40; 0.42; 0.46; 0.50; 0.54; 0.58; 0.64; 0.72; 0.80 ] in
+  [ case "write delay stopped at the flip equals the full-trace scan" (fun () ->
+        let flips = ref 0 and misses = ref 0 in
+        List.iter
+          (fun flavor ->
+            List.iter
+              (fun corner ->
+                let cell =
+                  Finfet.Corners.cell corner ~nfet:(Finfet.Library.nfet lib flavor)
+                    ~pfet:(Finfet.Library.pfet lib flavor)
+                in
+                List.iter
+                  (fun vwl ->
+                    let condition = Sram_cell.Sram6t.write0 ~vwl () in
+                    let r = Sram_cell.Dynamics.write_delay ~cell condition in
+                    let delay, flipped, wl_cross_time = reference_write_delay ~cell condition in
+                    let label =
+                      Printf.sprintf "%s %s vwl=%.2f"
+                        (Finfet.Library.flavor_to_string flavor)
+                        (Finfet.Corners.name corner) vwl
+                    in
+                    Alcotest.(check bool) (label ^ " flipped") flipped
+                      r.Sram_cell.Dynamics.flipped;
+                    check_bits (label ^ " delay") delay r.Sram_cell.Dynamics.delay;
+                    check_bits (label ^ " wl_cross_time") wl_cross_time
+                      r.Sram_cell.Dynamics.wl_cross_time;
+                    incr (if flipped then flips else misses))
+                  vwls)
+              Finfet.Corners.all)
+          [ Finfet.Library.Lvt; Finfet.Library.Hvt ];
+        (* The grid must exercise both the early stop and the full run. *)
+        Alcotest.(check bool) "some writes flip" true (!flips > 0);
+        Alcotest.(check bool) "some writes never flip" true (!misses > 0)) ]
+
 let leakage_tests =
   [ case "LVT leakage matches the paper's 1.692 nW" (fun () ->
         check_close ~tol:0.02 "lvt" 1.692e-9 (Sram_cell.Leakage.power ~cell:lvt ()));
@@ -323,6 +399,7 @@ let () =
       ("butterfly", butterfly_tests);
       ("write", write_tests);
       ("dynamics", dynamics_tests);
+      ("early_stop", early_stop_tests);
       ("leakage", leakage_tests);
       ("dynamic", dynamic_tests);
       ("montecarlo", montecarlo_tests) ]

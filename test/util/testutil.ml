@@ -13,6 +13,10 @@ let check_within msg ~lo ~hi x =
   if not (x >= lo && x <= hi) then
     Alcotest.failf "%s: %.12g outside [%.12g, %.12g]" msg x lo hi
 
+let check_bits msg expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual))
+  then Alcotest.failf "%s: expected %h, got %h" msg expected actual
+
 let check_increasing ?(strict = false) msg xs =
   for i = 0 to Array.length xs - 2 do
     let ok = if strict then xs.(i) < xs.(i + 1) else xs.(i) <= xs.(i + 1) in

@@ -10,6 +10,9 @@ val check_close_abs : ?tol:float -> string -> float -> float -> unit
 val check_within : string -> lo:float -> hi:float -> float -> unit
 (** Asserts lo <= x <= hi. *)
 
+val check_bits : string -> float -> float -> unit
+(** Bitwise equality of the IEEE encodings (tells -0.0 from 0.0). *)
+
 val check_increasing : ?strict:bool -> string -> float array -> unit
 val check_decreasing : ?strict:bool -> string -> float array -> unit
 
