@@ -1105,6 +1105,46 @@ let kernel_bench () =
     List.iter (Printf.eprintf "kernel bench GATE FAILED: %s\n") (List.rev fs);
     exit 1
 
+(* ----- paired-trial overhead gate ----- *)
+
+(* The observability, search-journal and serve benches each bound what
+   an always-compiled-in feature costs when it is switched on, against
+   the same work with it off.  Every trial measures both sides back to
+   back, alternating which goes first, so neither systematically
+   inherits a warmer cache or a quieter slice of the host.  Wall-time
+   noise on a shared host is strictly additive (background load can
+   only slow a measurement down), so each side keeps its minimum over
+   trials and the gate compares min(on) / min(off).  A median of
+   per-trial ratios would fail whenever a load burst outlasts half the
+   trials, which a single-core container sees regularly.  A failing
+   estimate is re-measured once, each side keeping its minimum over both
+   rounds: a sustained burst of background load cannot fail the gate,
+   while a genuine regression, which both rounds show, still does.
+   Returns [(off, on, on /. off -. 1)]. *)
+let overhead_threshold = 0.03
+
+let overhead_trials = 9
+
+let paired_overhead ~off ~on =
+  let round () =
+    let best_off = ref infinity and best_on = ref infinity in
+    let take best side = best := Float.min !best (side ()) in
+    for t = 0 to overhead_trials - 1 do
+      if t land 1 = 0 then (take best_off off; take best_on on)
+      else (take best_on on; take best_off off)
+    done;
+    (!best_off, !best_on)
+  in
+  let overhead (off_s, on_s) = (on_s /. off_s) -. 1.0 in
+  let first = round () in
+  let off_s, on_s =
+    if overhead first < overhead_threshold then first
+    else
+      let off2, on2 = round () in
+      (Float.min (fst first) off2, Float.min (snd first) on2)
+  in
+  (off_s, on_s, overhead (off_s, on_s))
+
 (* ----- observability overhead benchmark ----- *)
 
 (* Two questions the instrumentation must answer for:
@@ -1195,15 +1235,12 @@ let obs_bench () =
            then "yes" else "NO") ])
     sums;
   Sram_edp.Report.print table;
-  (* Overhead: warm every memo first, then run off/stats back to back in
-     each trial (alternating which goes first, so neither mode
-     systematically inherits a warmer cache or a quieter slice of the
-     host). *)
-  let trials = 9 in
+  (* Overhead: warm every memo first, then compare off and stats with
+     the paired-trial gate. *)
   let reps = if !smoke then 10 else 3 in
   let pool = Runtime.Pool.create ~jobs:1 () in
   ignore (sweep ~pool);
-  let time_mode mode =
+  let time_mode mode () =
     let t0 = Runtime.Telemetry.now () in
     with_mode mode (fun () ->
         for _ = 1 to reps do
@@ -1211,45 +1248,16 @@ let obs_bench () =
         done);
     Runtime.Telemetry.now () -. t0
   in
-  (* Wall-time noise on a shared host is strictly additive — background
-     load can only slow a trial down, never speed it up — so the
-     minimum over trials of each mode is the cleanest estimate of its
-     true cost, and the gate compares min(stats)/min(off).  (A median
-     of per-trial ratios fails whenever a load burst outlasts half the
-     trials, which a single-core container sees regularly.) *)
-  let minimum l = List.fold_left min infinity l in
-  let measure () =
-    let off_walls = ref [] and stats_walls = ref [] in
-    for i = 1 to trials do
-      let stats_first = i land 1 = 0 in
-      let w1 = time_mode (if stats_first then `Stats else `Off) in
-      let w2 = time_mode (if stats_first then `Off else `Stats) in
-      let off, st = if stats_first then (w2, w1) else (w1, w2) in
-      off_walls := off :: !off_walls;
-      stats_walls := st :: !stats_walls
-    done;
-    let off = minimum !off_walls and st = minimum !stats_walls in
-    (off, st, (st /. off) -. 1.0)
-  in
-  let threshold = 0.03 in
-  (* The real overhead sits near 1%, well under budget; one re-measure
-     on a failing estimate keeps a sustained burst of background load
-     from failing the gate while a genuine regression (which both
-     rounds would show) still does. *)
   let wall_off, wall_stats, overhead =
-    let ((_, _, ov1) as m1) = measure () in
-    if ov1 < threshold then m1
-    else begin
-      let ((_, _, ov2) as m2) = measure () in
-      if ov2 < ov1 then m2 else m1
-    end
+    paired_overhead ~off:(time_mode `Off) ~on:(time_mode `Stats)
   in
   Runtime.Pool.shutdown pool;
-  let pass = overhead < threshold in
+  let pass = overhead < overhead_threshold in
   Printf.printf
     "instrumentation overhead (stats on vs off, min over %d paired %d-rep \
      trials): %.3f s vs %.3f s = %+.2f%% (budget %.0f%%) -> %s\n"
-    trials reps wall_stats wall_off (100.0 *. overhead) (100.0 *. threshold)
+    overhead_trials reps wall_stats wall_off (100.0 *. overhead)
+    (100.0 *. overhead_threshold)
     (if pass then "pass" else "FAIL");
   Printf.printf "chosen designs identical across modes and job counts: %s\n"
     (if bit_identical then "yes" else "NO");
@@ -1268,8 +1276,8 @@ let obs_bench () =
            [ ("wall_off_s", Sram_edp.Json_out.Float wall_off);
              ("wall_stats_s", Sram_edp.Json_out.Float wall_stats);
              ("overhead", Sram_edp.Json_out.Float overhead);
-             ("threshold", Sram_edp.Json_out.Float threshold);
-             ("trials", Sram_edp.Json_out.Int trials);
+             ("threshold", Sram_edp.Json_out.Float overhead_threshold);
+             ("trials", Sram_edp.Json_out.Int overhead_trials);
              ("reps", Sram_edp.Json_out.Int reps);
              ("pass", Sram_edp.Json_out.Bool pass) ]);
         ("histograms", Sram_edp.Json_out.histograms_json ());
@@ -1304,8 +1312,7 @@ let obs_bench () =
         bit-identical with the journal armed and disarmed at 1/2/4
         jobs — the journal may watch the search, never steer it.
      2. Is it cheap?  (< 3% wall time on the staged sweep with the
-        journal armed, same min-of-paired-trials methodology as
-        [obs_bench].)
+        journal armed, through [paired_overhead] like [obs_bench].)
    BENCH_explain.json embeds the convergence journal of a fresh sweep
    plus the bound-gap histogram, so CI archives a convergence curve
    alongside the gate results. *)
@@ -1376,18 +1383,16 @@ let explain_bench () =
           (if String.equal off on then "yes" else "NO") ])
     sums;
   Sram_edp.Report.print table;
-  (* Overhead: armed vs disarmed back to back in each trial, alternating
-     order; min over trials (noise is additive, see obs_bench).
+  (* Overhead: armed vs disarmed through the paired-trial gate.
      Always the paper's full design space: journal cost scales with
      incumbent improvements (dozens per search regardless of space
      size), so a microscopic sweep would measure a fixed cost against a
      vanishing baseline and the percentage would be meaningless. *)
-  let trials = 9 in
   let reps = if !smoke then 25 else 3 in
   let pool = Runtime.Pool.create ~jobs:1 () in
   let osweep = sweep ~space:Opt.Space.default ~pool in
   ignore (osweep ());
-  let time_mode armed =
+  let time_mode armed () =
     let t0 = Runtime.Telemetry.now () in
     with_journal armed (fun () ->
         for _ = 1 to reps do
@@ -1395,35 +1400,16 @@ let explain_bench () =
         done);
     Runtime.Telemetry.now () -. t0
   in
-  let minimum l = List.fold_left min infinity l in
-  let measure () =
-    let off_walls = ref [] and on_walls = ref [] in
-    for i = 1 to trials do
-      let on_first = i land 1 = 0 in
-      let w1 = time_mode on_first in
-      let w2 = time_mode (not on_first) in
-      let off, on = if on_first then (w2, w1) else (w1, w2) in
-      off_walls := off :: !off_walls;
-      on_walls := on :: !on_walls
-    done;
-    let off = minimum !off_walls and on = minimum !on_walls in
-    (off, on, (on /. off) -. 1.0)
-  in
-  let threshold = 0.03 in
   let wall_off, wall_on, overhead =
-    let ((_, _, ov1) as m1) = measure () in
-    if ov1 < threshold then m1
-    else begin
-      let ((_, _, ov2) as m2) = measure () in
-      if ov2 < ov1 then m2 else m1
-    end
+    paired_overhead ~off:(time_mode false) ~on:(time_mode true)
   in
   Runtime.Pool.shutdown pool;
-  let pass = overhead < threshold in
+  let pass = overhead < overhead_threshold in
   Printf.printf
     "search journal overhead (armed vs disarmed, min over %d paired %d-rep \
      trials): %.3f s vs %.3f s = %+.2f%% (budget %.0f%%) -> %s\n"
-    trials reps wall_on wall_off (100.0 *. overhead) (100.0 *. threshold)
+    overhead_trials reps wall_on wall_off (100.0 *. overhead)
+    (100.0 *. overhead_threshold)
     (if pass then "pass" else "FAIL");
   Printf.printf "winners identical with journal on and off at 1/2/4 jobs: %s\n"
     (if bit_identical then "yes" else "NO");
@@ -1456,8 +1442,8 @@ let explain_bench () =
            [ ("wall_off_s", Sram_edp.Json_out.Float wall_off);
              ("wall_on_s", Sram_edp.Json_out.Float wall_on);
              ("overhead", Sram_edp.Json_out.Float overhead);
-             ("threshold", Sram_edp.Json_out.Float threshold);
-             ("trials", Sram_edp.Json_out.Int trials);
+             ("threshold", Sram_edp.Json_out.Float overhead_threshold);
+             ("trials", Sram_edp.Json_out.Int overhead_trials);
              ("reps", Sram_edp.Json_out.Int reps);
              ("pass", Sram_edp.Json_out.Bool pass) ]);
         ("search_journal", journal);
@@ -2018,20 +2004,8 @@ let serve_level ~dir ~queries ~refs ~clients ~reps jobs =
               (0, 0) memos
           | _ -> (0, 0)
         in
-        let rec jo = function
-          | Persist.Json.Null -> Sram_edp.Json_out.Null
-          | Persist.Json.Bool b -> Sram_edp.Json_out.Bool b
-          | Persist.Json.Int i -> Sram_edp.Json_out.Int i
-          | Persist.Json.Float f -> Sram_edp.Json_out.Float f
-          | Persist.Json.String s -> Sram_edp.Json_out.String s
-          | Persist.Json.List l -> Sram_edp.Json_out.List (List.map jo l)
-          | Persist.Json.Obj o ->
-            Sram_edp.Json_out.Obj (List.map (fun (k, v) -> (k, jo v)) o)
-        in
         let counters =
-          match Persist.Json.member "server" stats with
-          | Some s -> jo s
-          | None -> Sram_edp.Json_out.Null
+          Option.value (Persist.Json.member "server" stats) ~default:Persist.Json.Null
         in
         let server_int name =
           match Persist.Json.member "server" stats with
@@ -2063,9 +2037,7 @@ let serve_level ~dir ~queries ~refs ~clients ~reps jobs =
           >>= fun s -> Persist.Json.float_field s "p99_s"
         in
         let windows =
-          match Persist.Json.member "windows" stats with
-          | Some w -> jo w
-          | None -> Sram_edp.Json_out.Null
+          Option.value (Persist.Json.member "windows" stats) ~default:Persist.Json.Null
         in
         ( fst hm, snd hm,
           server_int "deadline_expired", server_int "rejected_busy",
@@ -2098,16 +2070,9 @@ let serve_level ~dir ~queries ~refs ~clients ~reps jobs =
 (* Tracing, windowed metrics and the flight recorder ride the request
    path; this gate bounds their cost.  Two servers run side by side —
    one default (observability on), one with it off — and the warm
-   round-trip latency to each is compared with paired trials: every
-   trial measures both sides back-to-back in alternating order, each
-   side keeps its min over trials (least-noise estimate), and a
-   failing comparison is re-measured once before it counts, so a
-   single descheduling blip cannot fail CI.  Both answers must still
-   re-derive the one-shot reference checksum. *)
-let serve_overhead_threshold = 0.03
-
-let serve_overhead_trials = 9
-
+   round-trip latency to each is compared through [paired_overhead].
+   Both answers must still re-derive the one-shot reference
+   checksum. *)
 let serve_overhead_gate ~dir ~reference q =
   let fail msg =
     Printf.printf "serve overhead gate: %s\n" msg;
@@ -2148,27 +2113,8 @@ let serve_overhead_gate ~dir ~reference q =
     done;
     !best
   in
-  let run_trials () =
-    let best_on = ref infinity and best_off = ref infinity in
-    for t = 0 to serve_overhead_trials - 1 do
-      if t mod 2 = 0 then begin
-        best_on := min !best_on (measure c_on);
-        best_off := min !best_off (measure c_off)
-      end
-      else begin
-        best_off := min !best_off (measure c_off);
-        best_on := min !best_on (measure c_on)
-      end
-    done;
-    (!best_on, !best_off)
-  in
-  let on_s, off_s = run_trials () in
-  let on_s, off_s =
-    if (on_s -. off_s) /. off_s < serve_overhead_threshold then (on_s, off_s)
-    else begin
-      let on2, off2 = run_trials () in
-      (min on_s on2, min off_s off2)
-    end
+  let off_s, on_s, overhead =
+    paired_overhead ~off:(fun () -> measure c_off) ~on:(fun () -> measure c_on)
   in
   List.iter
     (fun (pid, c) ->
@@ -2178,7 +2124,6 @@ let serve_overhead_gate ~dir ~reference q =
       Serve.Client.close c;
       ignore (Unix.waitpid [] pid))
     [ (pid_on, c_on); (pid_off, c_off) ];
-  let overhead = (on_s -. off_s) /. off_s in
   (on_s, off_s, overhead, identical)
 
 let serve_bench () =
@@ -2224,13 +2169,13 @@ let serve_bench () =
     serve_overhead_gate ~dir ~reference:(List.hd refs) (List.hd queries)
   in
   let overhead_pass =
-    overhead < serve_overhead_threshold && overhead_identical
+    overhead < overhead_threshold && overhead_identical
   in
   Printf.printf
     "observability overhead: warm %.1f us on / %.1f us off -> %+.1f%% \
      (gate < %.0f%%, bit-identical %s): %s\n"
     (1e6 *. on_s) (1e6 *. off_s) (100.0 *. overhead)
-    (100.0 *. serve_overhead_threshold)
+    (100.0 *. overhead_threshold)
     (if overhead_identical then "yes" else "NO")
     (if overhead_pass then "pass" else "FAIL");
   let pass =
@@ -2253,12 +2198,12 @@ let serve_bench () =
           ("pass", Sram_edp.Json_out.Bool pass);
           ("observability_overhead",
            Sram_edp.Json_out.Obj
-             [ ("trials", Sram_edp.Json_out.Int serve_overhead_trials);
+             [ ("trials", Sram_edp.Json_out.Int overhead_trials);
                ("warm_on_s", Sram_edp.Json_out.Float on_s);
                ("warm_off_s", Sram_edp.Json_out.Float off_s);
                ("overhead", Sram_edp.Json_out.Float overhead);
                ("threshold",
-                Sram_edp.Json_out.Float serve_overhead_threshold);
+                Sram_edp.Json_out.Float overhead_threshold);
                ("bit_identical",
                 Sram_edp.Json_out.Bool overhead_identical);
                ("pass", Sram_edp.Json_out.Bool overhead_pass) ]);

@@ -1,11 +1,13 @@
-(** Minimal JSON emission for scripting against the experiment results.
+(** JSON converters for the framework's records: metrics, design
+    rows, runtime statistics, search journals, attribution and the
+    rest.
 
-    The CLI's [--json] outputs are built from this tree; keeping the
-    emitter in-repo avoids a dependency and is enough for the flat
-    records the framework produces.  Strings are escaped per RFC 8259;
-    floats use shortest round-trip formatting. *)
+    The tree, emitters and parser are {!Persist.Json}'s; [t] is that
+    type, re-exported with its constructors together with the two
+    emitters, so [Json_out.Obj [...]] and [Json_out.to_string_pretty]
+    keep working for callers written against this module. *)
 
-type t =
+type t = Persist.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -15,10 +17,10 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (single-line) rendering. *)
+(** {!Persist.Json.to_string}. *)
 
 val to_string_pretty : ?indent:int -> t -> string
-(** Multi-line rendering with the given indent width (default 2). *)
+(** {!Persist.Json.to_string_pretty}. *)
 
 (** {1 Conversions for the framework's records} *)
 

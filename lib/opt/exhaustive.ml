@@ -162,24 +162,6 @@ let candidate_of_json j =
     Some { geometry; assist; metrics; score }
   | _ -> None
 
-let levels_to_json (l : Yield.levels) =
-  J.Obj
-    [
-      ("vddc_min", J.Float l.Yield.vddc_min);
-      ("vwl_min", J.Float l.Yield.vwl_min);
-      ("hsnm_nominal", J.Float l.Yield.hsnm_nominal);
-    ]
-
-let levels_of_json j =
-  match
-    ( J.float_field j "vddc_min",
-      J.float_field j "vwl_min",
-      J.float_field j "hsnm_nominal" )
-  with
-  | Some vddc_min, Some vwl_min, Some hsnm_nominal ->
-    Some { Yield.vddc_min; vwl_min; hsnm_nominal }
-  | _ -> None
-
 let pins_to_json (p : Space.pins) =
   J.Obj
     [
@@ -208,7 +190,7 @@ let result_to_json r =
       ("pruned", J.Int r.pruned);
       ("skipped", J.Int r.skipped);
       ("considered", J.Int r.considered);
-      ("levels", levels_to_json r.levels);
+      ("levels", Yield.levels_to_json r.levels);
       ("pins", pins_to_json r.pins);
     ]
 
@@ -217,7 +199,7 @@ let result_of_json j =
     ( Option.bind (J.member "best" j) candidate_of_json,
       J.int_field j "evaluated",
       J.int_field j "pruned",
-      Option.bind (J.member "levels" j) levels_of_json,
+      Option.bind (J.member "levels" j) Yield.levels_of_json,
       Option.bind (J.member "pins" j) pins_of_json )
   with
   | Some best, Some evaluated, Some pruned, Some levels, Some pins ->

@@ -18,16 +18,9 @@ type levels = {
   hsnm_nominal : float;
 }
 
-let rsnm_cache :
-  (Finfet.Library.flavor * float * float * int, float) Runtime.Memo.t =
-  Runtime.Memo.create ~name:"yield.rsnm" ~capacity:1024 ()
-
 let rsnm_at ?(points = 81) ~flavor ~vddc ~vssc () =
-  Runtime.Memo.find_or_compute rsnm_cache (flavor, vddc, vssc, points)
-    (fun () ->
-      let cell = cell_of flavor in
-      Sram_cell.Margins.read_snm ~points ~cell
-        (Sram_cell.Sram6t.read ~vddc ~vssc ()))
+  Sram_cell.Margins.read_snm ~points ~cell:(cell_of flavor)
+    (Sram_cell.Sram6t.read ~vddc ~vssc ())
 
 let solve_cache :
   (Finfet.Library.flavor * float * int * Finfet.Corners.corner option

@@ -20,6 +20,12 @@ type levels = {
   hsnm_nominal : float;  (** HSNM at nominal Vdd (must already exceed delta) *)
 }
 
+val levels_to_json : levels -> Persist.Json.t
+val levels_of_json : Persist.Json.t -> levels option
+(** The pins' one codec, shared by the [yield.solve] disk tier and
+    {!Exhaustive.result_to_json}. [levels_of_json] is [None] on a
+    missing or mistyped field. *)
+
 val solve :
   ?delta:float ->
   ?points:int ->
@@ -41,8 +47,9 @@ val rsnm_at :
   ?points:int ->
   flavor:Finfet.Library.flavor ->
   vddc:float -> vssc:float -> unit -> float
-(** Memoized RSNM evaluation used to validate V_SSC choices (the paper
-    caps the negative-Gnd range at -240 mV where RSNM degrades). *)
+(** RSNM at the given assist levels, used to validate V_SSC choices
+    (the paper caps the negative-Gnd range at -240 mV where RSNM
+    degrades).  Not memoized: nothing on the optimize path calls it. *)
 
 val margins_ok :
   ?delta:float ->

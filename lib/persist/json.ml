@@ -73,6 +73,38 @@ let to_string t =
   emit buf t;
   Buffer.contents buf
 
+(* Scalars and empty containers render exactly as in [emit]; only
+   non-empty containers break across lines. *)
+let rec emit_pretty buf ~indent ~level v =
+  let pad n = Buffer.add_string buf (String.make (indent * n) ' ') in
+  let block opening closing emit_item items =
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i item ->
+        Buffer.add_string buf (if i > 0 then ",\n" else "\n");
+        pad (level + 1);
+        emit_item item)
+      items;
+    Buffer.add_char buf '\n';
+    pad level;
+    Buffer.add_char buf closing
+  in
+  match v with
+  | Null | Bool _ | Int _ | Float _ | String _ | List [] | Obj [] -> emit buf v
+  | List items -> block '[' ']' (emit_pretty buf ~indent ~level:(level + 1)) items
+  | Obj fields ->
+    block '{' '}'
+      (fun (key, value) ->
+        emit buf (String key);
+        Buffer.add_string buf ": ";
+        emit_pretty buf ~indent ~level:(level + 1) value)
+      fields
+
+let to_string_pretty ?(indent = 2) t =
+  let buf = Buffer.create 512 in
+  emit_pretty buf ~indent ~level:0 t;
+  Buffer.contents buf
+
 (* ----- parsing ----- *)
 
 exception Parse_error of string

@@ -1,11 +1,15 @@
-(** Minimal JSON value type with a compact emitter and a strict parser.
+(** The one JSON tree of the code base: value type, compact and pretty
+    emitters, and a strict parser.
 
-    Unlike [Sram_edp.Json_out] (output-only, higher in the dependency
-    graph) this module both emits and parses, because the record log
-    must replay what it wrote.  Floats are printed with enough digits
-    ([%.17g]) that [of_string (to_string v)] reproduces every finite
-    IEEE double bit-for-bit — the property the resume protocol's
-    bit-identical-winner guarantee rests on. *)
+    The CLI's [--json] outputs (built by [Sram_edp.Json_out]'s record
+    converters), the serve wire protocol, the record log and the disk
+    cache all build and print this tree; only the Chrome trace files
+    of [Obs.Trace], which sits below this library, are written
+    elsewhere.  Floats are printed with enough digits ([%.17g]) that
+    [of_string (to_string v)] reproduces every finite IEEE double
+    bit-for-bit — the property the resume protocol's
+    bit-identical-winner guarantee rests on — and both renderings share
+    that one float format. *)
 
 type t =
   | Null
@@ -20,6 +24,11 @@ val to_string : t -> string
 (** Compact (single-line) serialization.
     @raise Invalid_argument on non-finite floats, which have no JSON
     representation; encode them as [Null] explicitly if needed. *)
+
+val to_string_pretty : ?indent:int -> t -> string
+(** Multi-line rendering with the given indent width (default 2).
+    Scalars render exactly as in {!to_string}.
+    @raise Invalid_argument on non-finite floats, like {!to_string}. *)
 
 val of_string : string -> (t, string) result
 (** Strict parse of a complete JSON document. *)

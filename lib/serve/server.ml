@@ -156,37 +156,19 @@ let explain_payload (q : P.query) ~deadline =
         Opt.Explain.sensitivity ?space ~objective:q.P.objective ~env
           ~pins:result.Opt.Exhaustive.pins ~winner ()
       in
-      (* [Json_out] and the wire use different JSON trees; round-trip
-         through the compact string, as the stats endpoint does. *)
-      let jo =
-        Sram_edp.Json_out.Obj
-          [ ("attribution", Sram_edp.Json_out.of_attribution at);
-            ("sensitivity", Sram_edp.Json_out.of_sensitivity sens) ]
-      in
-      match J.of_string (Sram_edp.Json_out.to_string jo) with
-      | Ok (J.Obj fields) ->
-        Ok
-          (J.Obj
-             ([ ("capacity_bits", J.Int q.P.capacity_bits);
-                ("config", J.String (Sram_edp.Framework.config_name config));
-                ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
-                ("eval_s", J.Float (now () -. t0)) ]
-             @ fields))
-      | Ok _ -> error P.Internal "explain serialization: unexpected shape"
-      | Error e -> error P.Internal ("explain serialization: " ^ e)
+      Ok
+        (J.Obj
+           [ ("capacity_bits", J.Int q.P.capacity_bits);
+             ("config", J.String (Sram_edp.Framework.config_name config));
+             ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
+             ("eval_s", J.Float (now () -. t0));
+             ("attribution", Sram_edp.Json_out.of_attribution at);
+             ("sensitivity", Sram_edp.Json_out.of_sensitivity sens) ])
     end
   | exception Opt.Exhaustive.Deadline_exceeded ->
     count "serve.deadline_expired";
     error P.Deadline "deadline passed during the search"
   | exception Invalid_argument msg -> error P.Bad_request msg
-
-let stats_payload () =
-  (* [Json_out] and the wire use different JSON trees (emit-only vs
-     emit+parse); round-tripping through the compact string unifies
-     them at a cost of ~µs per stats call. *)
-  match J.of_string (Sram_edp.Json_out.to_string (Sram_edp.Json_out.runtime_stats_json ())) with
-  | Ok j -> Ok j
-  | Error e -> error P.Internal ("stats serialization: " ^ e)
 
 let handle ~default_deadline_ms ~draining (p : pending) =
   let wait = now () -. p.t_admit in
@@ -214,7 +196,7 @@ let handle ~default_deadline_ms ~draining (p : pending) =
           (J.Obj
              [ ("pid", J.Int (Unix.getpid ()));
                ("git_commit", J.String (Persist.Record_log.git_commit ())) ])
-      | P.Stats -> stats_payload ()
+      | P.Stats -> Ok (Sram_edp.Json_out.runtime_stats_json ())
       | P.Metrics -> Ok (J.String (Metrics.render ()))
       | P.Shutdown ->
         draining := true;
@@ -280,9 +262,20 @@ let send_raw conn s =
       conn.alive <- false
   end
 
-let send conn response =
-  let payload = J.to_string (P.response_to_json response) in
-  send_raw conn (fun fd -> Frame.write fd payload)
+(* The one place a response becomes bytes.  A payload the emitter
+   cannot encode (a non-finite float) is answered as a typed [Internal]
+   error to the same request instead, so the daemon keeps serving.
+   Returns the response actually sent. *)
+let send conn (response : P.response) =
+  let response, payload =
+    match J.to_string (P.response_to_json response) with
+    | payload -> (response, payload)
+    | exception Invalid_argument msg ->
+      let r = { response with P.body = error P.Internal ("encoding: " ^ msg) } in
+      (r, J.to_string (P.response_to_json r))
+  in
+  send_raw conn (fun fd -> Frame.write fd payload);
+  response
 
 let close_conn conn =
   if conn.alive then conn.alive <- false;
@@ -412,12 +405,18 @@ let run config =
     tid_prefix ^ string_of_int !tid_seq
   in
   let read_buf = Bytes.create 65536 in
-  let respond conn (r : P.response) =
+  (* Returns the response actually sent, which {!send} may have turned
+     into an [Internal] error. *)
+  let respond conn r =
+    let r = send conn r in
     (match r.P.body with
      | Ok _ -> incr served
      | Error _ -> incr errors; count "serve.errors");
     count "serve.responses";
-    send conn r
+    r
+  in
+  let reject conn ?(rid = 0) ?tid code message =
+    ignore (respond conn { P.rid; rtrace_id = tid; body = error code message })
   in
   let flight_dump ~reason tid =
     if config.observability then
@@ -436,19 +435,11 @@ let run config =
       | None -> if config.observability then Some (gen_tid ()) else None
     in
     if !draining then
-      respond conn
-        { P.rid = req.P.id;
-          rtrace_id = tid;
-          body = error P.Shutting_down "server is draining" }
+      reject conn ~rid:req.P.id ?tid P.Shutting_down "server is draining"
     else if Queue.length queue >= config.max_queue then begin
       count "serve.rejected_busy";
-      respond conn
-        { P.rid = req.P.id;
-          rtrace_id = tid;
-          body =
-            error P.Busy
-              (Printf.sprintf "admission queue full (%d pending)"
-                 config.max_queue) }
+      reject conn ~rid:req.P.id ?tid P.Busy
+        (Printf.sprintf "admission queue full (%d pending)" config.max_queue)
     end
     else Queue.add { conn; req; tid; t_admit = now () } queue
   in
@@ -466,20 +457,13 @@ let run config =
         | Ok req -> admit conn req
         | Error e ->
           count "serve.bad_request";
-          respond conn
-            { P.rid = 0; rtrace_id = None; body = error P.Bad_request e }
+          reject conn P.Bad_request e
         | exception _ ->
           count "serve.bad_request";
-          respond conn
-            { P.rid = 0;
-              rtrace_id = None;
-              body = error P.Bad_request "unparseable request" })
+          reject conn P.Bad_request "unparseable request")
       | Error e ->
         count "serve.bad_frame";
-        respond conn
-          { P.rid = 0;
-            rtrace_id = None;
-            body = error P.Bad_request (Frame.error_to_string e) };
+        reject conn P.Bad_request (Frame.error_to_string e);
         close_conn conn;
         continue := false
     done
@@ -573,9 +557,9 @@ let run config =
     | None -> ()
     | Some p ->
       let r =
-        handle ~default_deadline_ms:config.default_deadline_ms ~draining p
+        respond p.conn
+          (handle ~default_deadline_ms:config.default_deadline_ms ~draining p)
       in
-      respond p.conn r;
       let e2e = now () -. p.t_admit in
       Obs.Histogram.observe (Lazy.force h_e2e) e2e;
       (* Postmortems: a deadline miss or internal error dumps the

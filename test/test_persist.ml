@@ -54,10 +54,10 @@ let rec json_eq a b =
          x y
   | _ -> false
 
-let roundtrip v =
-  match J.of_string (J.to_string v) with
+let roundtrip ?(render = J.to_string) v =
+  match J.of_string (render v) with
   | Ok v' -> v'
-  | Error msg -> Alcotest.failf "parse error on %s: %s" (J.to_string v) msg
+  | Error msg -> Alcotest.failf "parse error on %s: %s" (render v) msg
 
 let json_gen =
   let open QCheck.Gen in
@@ -107,13 +107,41 @@ let json_tests =
     case "string escapes and unicode round-trip" (fun () ->
         let v = J.String "a\"b\\c\nd\te\r\x01 \xe2\x82\xac" in
         Alcotest.(check bool) "escaped" true (json_eq v (roundtrip v)));
+    case "scalars render" (fun () ->
+        Alcotest.(check string) "null" "null" (J.to_string J.Null);
+        Alcotest.(check string) "true" "true" (J.to_string (J.Bool true));
+        Alcotest.(check string) "int" "42" (J.to_string (J.Int 42));
+        Alcotest.(check string) "float" "1.5" (J.to_string (J.Float 1.5)));
+    case "strings escape control characters" (fun () ->
+        Alcotest.(check string) "escape" "\"a\\n\\\"b\\\\\""
+          (J.to_string (J.String "a\n\"b\\")));
+    case "containers render compactly" (fun () ->
+        Alcotest.(check string) "list" "[1,2]" (J.to_string (J.List [ J.Int 1; J.Int 2 ]));
+        Alcotest.(check string) "obj" "{\"a\":1}" (J.to_string (J.Obj [ ("a", J.Int 1) ])));
+    case "pretty rendering is indented and reparses structure" (fun () ->
+        let v =
+          J.Obj [ ("xs", J.List [ J.Int 1; J.Float 2.0 ]); ("e", J.List []); ("o", J.Obj []) ]
+        in
+        Alcotest.(check string) "layout"
+          "{\n  \"xs\": [\n    1,\n    2.0\n  ],\n  \"e\": [],\n  \"o\": {}\n}"
+          (J.to_string_pretty v);
+        Alcotest.(check string) "indent width" "[\n    null\n]"
+          (J.to_string_pretty ~indent:4 (J.List [ J.Null ]));
+        Alcotest.(check bool) "reparses" true
+          (json_eq v (roundtrip ~render:J.to_string_pretty v)));
     case "emitter rejects non-finite floats" (fun () ->
         List.iter
-          (fun f ->
-            match J.to_string (J.Float f) with
-            | exception Invalid_argument _ -> ()
-            | s -> Alcotest.failf "non-finite float emitted as %s" s)
-          [ Float.nan; Float.infinity; Float.neg_infinity ]);
+          (fun (name, render) ->
+            List.iter
+              (fun f ->
+                List.iter
+                  (fun v ->
+                    match render v with
+                    | exception Invalid_argument _ -> ()
+                    | s -> Alcotest.failf "%s emitted a non-finite float as %s" name s)
+                  [ J.Float f; J.List [ J.Int 1; J.Float f ]; J.Obj [ ("x", J.Float f) ] ])
+              [ Float.nan; Float.infinity; Float.neg_infinity ])
+          [ ("to_string", J.to_string); ("to_string_pretty", fun v -> J.to_string_pretty v) ]);
     case "parser rejects trailing garbage and truncation" (fun () ->
         List.iter
           (fun s ->
@@ -130,7 +158,9 @@ let json_tests =
         Alcotest.(check (option int)) "missing" None (J.int_field v "zzz"));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"random documents round-trip bit-exactly" ~count:500
-         json_arb (fun v -> json_eq v (roundtrip v)));
+         json_arb (fun v ->
+           json_eq v (roundtrip v)
+           && json_eq v (roundtrip ~render:J.to_string_pretty v)));
   ]
 
 (* ----- Crc32 ----- *)

@@ -796,7 +796,32 @@ let observability_tests =
             check_has "request attributed" "dl-trace-7" text;
             match Persist.Json.of_string text with
             | Ok _ -> ()
-            | Error e -> Alcotest.failf "dump is not valid JSON: %s" e)) ]
+            | Error e -> Alcotest.failf "dump is not valid JSON: %s" e));
+    case "unencodable payload answers a typed internal error and keeps serving"
+      (fun () ->
+        let dir = Filename.concat tmp_root "flight_encoding" in
+        with_server
+          ~configure:(fun cfg ->
+            (* Runs in the forked server: an infinite sample makes the
+               stats payload's max_s unencodable. *)
+            Obs.Histogram.observe (Obs.Histogram.create "test.nonfinite") infinity;
+            { cfg with Serve.Server.flight_dir = Some dir })
+          (fun _path c ->
+            (match Serve.Client.call ~trace_id:"enc-trace-1" c P.Stats with
+            | Ok { P.body = Error (P.Internal, msg); rtrace_id; _ } ->
+              check_has "names the encoding failure" "non-finite" msg;
+              Alcotest.(check (option string)) "error echoes the trace id"
+                (Some "enc-trace-1") rtrace_id
+            | Ok _ -> Alcotest.fail "expected an internal error"
+            | Error e -> Alcotest.failf "call: %s" e);
+            ignore (get (Serve.Client.ping c));
+            ignore (get (Serve.Client.optimize c reduced_query));
+            let dumps =
+              Sys.readdir dir |> Array.to_list
+              |> List.filter (String.starts_with ~prefix:"flight-")
+            in
+            Alcotest.(check bool) "the internal error left a flight dump" true
+              (dumps <> []))) ]
 
 let () =
   Alcotest.run "serve"

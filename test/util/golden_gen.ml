@@ -2,7 +2,7 @@
    (test_golden.ml, which diffs against the files under test/golden)
    and the regenerator (regen_golden.ml, `make regen-golden`).  Everything here
    must be bit-stable run to run: the searches are deterministic at any
-   job count and Json_out prints floats with enough digits to
+   job count and Persist.Json prints floats with enough digits to
    round-trip, so a golden diff means the model output changed, not
    that the harness wobbled. *)
 
@@ -145,17 +145,6 @@ let stats_schema () =
    NSGA-II evaluates a subset — so the golden pins the SHAPE of
    [Opt.Exhaustive.result_to_json] for each strategy, same collapse as
    the stats schema. *)
-let rec persist_schema_of = function
-  | Persist.Json.Null -> Json_out.String "null"
-  | Persist.Json.Bool _ -> Json_out.String "bool"
-  | Persist.Json.Int _ -> Json_out.String "int"
-  | Persist.Json.Float _ -> Json_out.String "float"
-  | Persist.Json.String _ -> Json_out.String "string"
-  | Persist.Json.List [] -> Json_out.List []
-  | Persist.Json.List (x :: _) -> Json_out.List [ persist_schema_of x ]
-  | Persist.Json.Obj fields ->
-    Json_out.Obj (List.map (fun (k, v) -> (k, persist_schema_of v)) fields)
-
 let strategies_schema () =
   let env = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
   let result_of st =
@@ -167,7 +156,7 @@ let strategies_schema () =
        (List.map
           (fun st ->
             ( Opt.Strategy.name st,
-              persist_schema_of (Opt.Exhaustive.result_to_json (result_of st))
+              schema_of (Opt.Exhaustive.result_to_json (result_of st))
             ))
           Opt.Strategy.all))
   ^ "\n"
