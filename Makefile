@@ -11,14 +11,12 @@
 #   make bench-explain search-journal overhead + bit-identity gate; embeds the
 #                      convergence journal (writes BENCH_explain.json)
 #   make bench-persist checkpoint/resume bit-identity benchmark (BENCH_persist.json)
-#   make bench-moo     NSGA-II vs the exhaustive oracle: regret,
-#                      budget and hypervolume gates (writes BENCH_moo.json)
 #   make bench-serve   daemon load-generator benchmark (writes BENCH_serve.json)
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
 .PHONY: all check check-tests test bench bench-kernel bench-kernel-opt \
-        bench-smoke bench-obs bench-explain bench-moo bench-persist \
+        bench-smoke bench-obs bench-explain bench-persist \
         bench-serve smoke-serve-metrics regen-golden clean
 
 all:
@@ -31,7 +29,6 @@ check: check-tests
 	dune exec bench/main.exe -- kernel --smoke
 	dune exec bench/main.exe -- obs --smoke
 	dune exec bench/main.exe -- explain --smoke
-	dune exec bench/main.exe -- moo --smoke
 	dune exec bench/main.exe -- persist --smoke
 	dune exec bench/main.exe -- serve --smoke
 	$(MAKE) smoke-serve-metrics
@@ -73,9 +70,6 @@ bench-obs:
 
 bench-explain:
 	dune exec bench/main.exe -- explain
-
-bench-moo:
-	dune exec bench/main.exe -- moo
 
 bench-persist:
 	dune exec bench/main.exe -- persist

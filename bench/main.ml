@@ -1467,173 +1467,6 @@ let explain_bench () =
   end;
   if not (pass && bit_identical) then exit 1
 
-(* ----- multi-objective search benchmark ----- *)
-
-(* NSGA-II against the exhaustive oracle, on every Table 4 capacity
-   (HVT-M2, the paper's headline config).  Four gates, all enforced on
-   the committed BENCH_moo.json run:
-     1. winner regret = 0 — NSGA-II lands on the oracle's EDP optimum,
-        score bit-for-bit;
-     2. evaluations <= 5% of the oracle's [considered] (full space
-        only: the reduced smoke grid is so small that its default
-        budget floor is a large share of it);
-     3. hypervolume of the returned front >= 99% of the true front's;
-     4. same-seed runs bit-identical at 1/2/4 jobs.
-   Under --smoke: reduced space, 1KB, jobs 1/2, gates 1/3/4 only. *)
-let moo_bench () =
-  section "Moo: NSGA-II vs the exhaustive oracle";
-  let space = if !smoke then Opt.Space.reduced else Opt.Space.default in
-  let capacities =
-    if !smoke then [ 1024 * 8 ] else Sram_edp.Framework.paper_capacities
-  in
-  let jobs_list = if !smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let flavor = Finfet.Library.Hvt and method_ = Opt.Space.M2 in
-  let env = Array_model.Array_eval.make_env ~cell_flavor:flavor () in
-  let levels = Opt.Yield.solve ~flavor () in
-  let pairs cs =
-    List.map (fun c -> let o = Opt.Pareto.objectives c in (o.(0), o.(1))) cs
-  in
-  let budget_gate = not !smoke in
-  let budget_frac = 0.05 and hv_floor = 0.99 in
-  let table =
-    Sram_edp.Report.create
-      ~columns:
-        [ "capacity"; "engine"; "evals"; "of oracle"; "regret"; "hv ratio";
-          "identical" ]
-  in
-  let all_pass = ref true in
-  let runs =
-    List.map
-      (fun capacity_bits ->
-        let pool = Runtime.Pool.create ~jobs:1 () in
-        let oracle, all =
-          Opt.Exhaustive.search_all ~space ~levels ~pool ~env ~capacity_bits
-            ~method_ ()
-        in
-        Runtime.Pool.shutdown pool;
-        let truth = pairs (Opt.Pareto.front all) in
-        let engines =
-          [ ("nsga2",
-             fun pool ->
-               Opt.Nsga2.search_front ~space ~levels ~pool ~env ~capacity_bits
-                 ~method_ ()) ]
-        in
-        let per_engine =
-          List.map
-            (fun (name, search) ->
-              let by_jobs =
-                List.map
-                  (fun jobs ->
-                    let pool = Runtime.Pool.create ~jobs () in
-                    let res, front = search pool in
-                    Runtime.Pool.shutdown pool;
-                    (jobs, res, front, checksum_designs [ res ]))
-                  jobs_list
-              in
-              let _, res, front, first_sum = List.hd by_jobs in
-              let identical =
-                List.for_all
-                  (fun (_, _, _, s) -> String.equal s first_sum)
-                  by_jobs
-              in
-              let regret =
-                res.Opt.Exhaustive.best.Opt.Exhaustive.score
-                -. oracle.Opt.Exhaustive.best.Opt.Exhaustive.score
-              in
-              let frac =
-                float_of_int res.Opt.Exhaustive.evaluated
-                /. float_of_int oracle.Opt.Exhaustive.considered
-              in
-              let hv = Opt.Hypervolume.ratio ~truth (pairs front) in
-              let pass =
-                regret = 0.0 && identical && hv >= hv_floor
-                && ((not budget_gate) || frac <= budget_frac)
-              in
-              if not pass then all_pass := false;
-              Sram_edp.Report.add_row table
-                [ Printf.sprintf "%dB" (capacity_bits / 8); name;
-                  string_of_int res.Opt.Exhaustive.evaluated;
-                  Printf.sprintf "%.2f%%" (100.0 *. frac);
-                  Printf.sprintf "%.3g" regret;
-                  Printf.sprintf "%.4f" hv;
-                  (if identical then "yes" else "NO") ];
-              ( name, res, regret, frac, hv, identical, pass,
-                List.map (fun (j, _, _, s) -> (j, s)) by_jobs ))
-            engines
-        in
-        (capacity_bits, oracle, per_engine))
-      capacities
-  in
-  Sram_edp.Report.print table;
-  Printf.printf
-    "gates: regret = 0, hv ratio >= %.2f, bit-identical at jobs %s%s -> %s\n"
-    hv_floor
-    (String.concat "/" (List.map string_of_int jobs_list))
-    (if budget_gate then
-       Printf.sprintf ", evals <= %.0f%% of oracle" (100.0 *. budget_frac)
-     else " (budget gate: full run only)")
-    (if !all_pass then "pass" else "FAIL");
-  let json =
-    Sram_edp.Json_out.Obj
-      [ ("benchmark", Sram_edp.Json_out.String "moo-oracle");
-        ("git_commit", Sram_edp.Json_out.String (git_commit ()));
-        ("smoke", Sram_edp.Json_out.Bool !smoke);
-        ("config", Sram_edp.Json_out.String "6T-HVT-M2");
-        ("gates",
-         Sram_edp.Json_out.Obj
-           [ ("regret", Sram_edp.Json_out.Float 0.0);
-             ("budget_frac", Sram_edp.Json_out.Float budget_frac);
-             ("hv_ratio_floor", Sram_edp.Json_out.Float hv_floor);
-             ("jobs",
-              Sram_edp.Json_out.List
-                (List.map (fun j -> Sram_edp.Json_out.Int j) jobs_list)) ]);
-        ("capacities",
-         Sram_edp.Json_out.List
-           (List.map
-              (fun (capacity_bits, oracle, per_engine) ->
-                Sram_edp.Json_out.Obj
-                  [ ("capacity_bits", Sram_edp.Json_out.Int capacity_bits);
-                    ("oracle_considered",
-                     Sram_edp.Json_out.Int oracle.Opt.Exhaustive.considered);
-                    ("oracle_checksum",
-                     Sram_edp.Json_out.String (checksum_designs [ oracle ]));
-                    ("engines",
-                     Sram_edp.Json_out.List
-                       (List.map
-                          (fun (name, res, regret, frac, hv, identical, pass,
-                                sums) ->
-                            Sram_edp.Json_out.Obj
-                              [ ("engine", Sram_edp.Json_out.String name);
-                                ("evaluated",
-                                 Sram_edp.Json_out.Int
-                                   res.Opt.Exhaustive.evaluated);
-                                ("of_oracle", Sram_edp.Json_out.Float frac);
-                                ("regret", Sram_edp.Json_out.Float regret);
-                                ("hv_ratio", Sram_edp.Json_out.Float hv);
-                                ("bit_identical",
-                                 Sram_edp.Json_out.Bool identical);
-                                ("pass", Sram_edp.Json_out.Bool pass);
-                                ("checksums",
-                                 Sram_edp.Json_out.List
-                                   (List.map
-                                      (fun (j, s) ->
-                                        Sram_edp.Json_out.Obj
-                                          [ ("jobs", Sram_edp.Json_out.Int j);
-                                            ("checksum",
-                                             Sram_edp.Json_out.String s) ])
-                                      sums)) ])
-                          per_engine)) ])
-              runs)) ]
-  in
-  if not !smoke then begin
-    let oc = open_out "BENCH_moo.json" in
-    output_string oc (Sram_edp.Json_out.to_string_pretty json);
-    output_char oc '\n';
-    close_out oc;
-    print_endline "wrote BENCH_moo.json"
-  end;
-  if not !all_pass then exit 1
-
 (* ----- persistence benchmark ----- *)
 
 (* Two questions the persistence layer must answer for:
@@ -2276,7 +2109,6 @@ let run_one = function
   | "kernel" -> kernel_bench ()
   | "obs" -> obs_bench ()
   | "explain" -> explain_bench ()
-  | "moo" -> moo_bench ()
   | "persist" -> persist_bench ()
   | "serve" -> serve_bench ()
   | "all" ->
@@ -2286,7 +2118,7 @@ let run_one = function
   | other ->
     Printf.eprintf
       "unknown experiment %S (try fig2a..fig7d, table4, headline, ablation, \
-       timing, runtime, kernel, obs, explain, moo, persist, serve, all)\n"
+       timing, runtime, kernel, obs, explain, persist, serve, all)\n"
       other;
     exit 1
 

@@ -69,66 +69,6 @@ let method_arg =
   Arg.(value & opt method_conv Opt.Space.M2
        & info [ "method"; "m" ] ~docv:"METHOD" ~doc:"Voltage-pin policy: m1 or m2.")
 
-let strategy_names =
-  String.concat ", " (List.map Opt.Strategy.name Opt.Strategy.all)
-
-(* The richer `--method` grammar of `optimize` and `query`: a pin
-   policy, a search strategy, or both ("m1:nsga2") — parsed by
-   {!Opt.Strategy.parse_method}, shared verbatim with the serve wire
-   protocol. *)
-let search_method_conv =
-  let parse s =
-    match Opt.Strategy.parse_method s with
-    | Some v -> Ok v
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "bad method %S (m1, m2, %s, or POLICY:STRATEGY like m1:nsga2)"
-             s strategy_names))
-  in
-  let print ppf (pin, strategy) =
-    Format.fprintf ppf "%s"
-      (match (pin, strategy) with
-      | Some m, Some st ->
-        String.lowercase_ascii (Opt.Space.method_name m)
-        ^ ":" ^ Opt.Strategy.name st
-      | Some m, None -> String.lowercase_ascii (Opt.Space.method_name m)
-      | None, Some st -> Opt.Strategy.name st
-      | None, None -> "m2")
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let search_method_arg =
-  Cmdliner.Arg.(
-    value
-    & opt search_method_conv (None, None)
-    & info [ "method"; "m" ] ~docv:"METHOD"
-        ~doc:
-          (Printf.sprintf
-             "Voltage-pin policy (m1, m2) and/or search strategy (%s); \
-              combine as POLICY:STRATEGY, e.g. m1:nsga2.  Defaults: m2, \
-              exhaustive."
-             strategy_names))
-
-let seed_arg =
-  Cmdliner.Arg.(
-    value
-    & opt int Opt.Strategy.default_seed
-    & info [ "seed" ] ~docv:"N"
-        ~doc:
-          "RNG seed for the nsga2 strategy.  Same seed, same answer — \
-           bit for bit at any --jobs.")
-
-let budget_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (some int) None
-    & info [ "budget" ] ~docv:"N"
-        ~doc:
-          "Evaluation budget (scan points) for the nsga2 strategy; \
-           default: a few percent of the space.")
-
 let accounting_arg =
   Arg.(value & opt accounting_conv Array_model.Array_eval.Paper_strict
        & info [ "accounting" ] ~docv:"MODE"
@@ -371,15 +311,12 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
     raise e
 
 let optimize_cmd =
-  let run capacity flavor (pin, strategy) accounting seed budget json jobs
-      stats trace progress log_level search_log persist =
-    let method_ = Option.value ~default:Opt.Space.M2 pin in
-    let strategy = Option.value ~default:Opt.Strategy.Exhaustive strategy in
+  let run capacity flavor method_ accounting json jobs stats trace progress
+      log_level search_log persist =
     with_runtime ~trace ~progress ~log_level ~search_log ~persist ~jobs ~stats
     @@ fun () ->
     let o =
-      Sram_edp.Framework.optimize ~accounting ~strategy ~rng_seed:seed ?budget
-        ~capacity_bits:capacity
+      Sram_edp.Framework.optimize ~accounting ~capacity_bits:capacity
         ~config:{ Sram_edp.Framework.flavor; method_ } ()
     in
     if json then begin
@@ -392,7 +329,7 @@ let optimize_cmd =
                 ("config",
                  Sram_edp.Json_out.String
                    (Sram_edp.Framework.config_name o.Sram_edp.Framework.config));
-                ("strategy", Sram_edp.Json_out.String (Opt.Strategy.name strategy));
+                ("strategy", Sram_edp.Json_out.String "exhaustive");
                 ("nr", Sram_edp.Json_out.Int g.Array_model.Geometry.nr);
                 ("nc", Sram_edp.Json_out.Int g.Array_model.Geometry.nc);
                 ("n_pre", Sram_edp.Json_out.Int g.Array_model.Geometry.n_pre);
@@ -410,8 +347,7 @@ let optimize_cmd =
     else print_optimized o
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Co-optimize one SRAM array for minimum EDP")
-    Term.(const run $ capacity_arg $ flavor_arg $ search_method_arg
-          $ accounting_arg $ seed_arg $ budget_arg
+    Term.(const run $ capacity_arg $ flavor_arg $ method_arg $ accounting_arg
           $ json_flag $ jobs_arg $ stats_arg $ trace_arg $ progress_arg
           $ log_level_arg $ search_log_arg $ persist_term)
 
@@ -1142,10 +1078,19 @@ let query_cmd =
     let print ppf o = Format.fprintf ppf "%s" (Opt.Objective.name o) in
     Arg.conv (parse, print)
   in
-  let run socket tcp endpoint capacity flavor (pin, strategy) objective
-      accounting seed reduced deadline_ms trace_id json =
-    let method_ = Option.value ~default:Opt.Space.M2 pin in
-    let strategy = Option.value ~default:Opt.Strategy.Exhaustive strategy in
+  let run socket tcp endpoint capacity flavor method_ objective accounting
+      reduced deadline_ms trace_id json =
+    let query =
+      { Serve.Protocol.default_query with
+        Serve.Protocol.capacity_bits = capacity;
+        flavor;
+        method_;
+        objective;
+        accounting;
+        space =
+          (if reduced then Serve.Protocol.reduced_override
+           else Serve.Protocol.no_override) }
+    in
     let socket_path = if socket = "" then None else Some socket in
     let deadline_ms = if deadline_ms > 0.0 then Some deadline_ms else None in
     let trace_id = if trace_id = "" then None else Some trace_id in
@@ -1182,37 +1127,11 @@ let query_cmd =
            (Result.map print_string (Serve.Client.metrics client))
        | `Shutdown -> finish (Serve.Client.shutdown client)
        | `Explain ->
-         let query =
-           { Serve.Protocol.default_query with
-             Serve.Protocol.capacity_bits = capacity;
-             flavor;
-             method_;
-             strategy;
-             rng_seed = seed;
-             objective;
-             accounting;
-             space =
-               (if reduced then Serve.Protocol.reduced_override
-                else Serve.Protocol.no_override) }
-         in
          finish
            (Result.map
               (fun j -> print_endline (Persist.Json.to_string j))
               (Serve.Client.explain ?deadline_ms ?trace_id client query))
        | `Optimize ->
-         let query =
-           { Serve.Protocol.default_query with
-             Serve.Protocol.capacity_bits = capacity;
-             flavor;
-             method_;
-             strategy;
-             rng_seed = seed;
-             objective;
-             accounting;
-             space =
-               (if reduced then Serve.Protocol.reduced_override
-                else Serve.Protocol.no_override) }
-         in
          finish
            (Result.map
               (fun (a : Serve.Client.answer) ->
@@ -1268,8 +1187,8 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Send one request to a running `sram_opt serve` daemon")
     Term.(const run $ socket_arg $ tcp_arg $ endpoint_arg $ capacity_arg
-          $ flavor_arg $ search_method_arg $ objective_arg $ accounting_arg
-          $ seed_arg $ reduced_arg $ query_deadline_arg $ trace_id_arg
+          $ flavor_arg $ method_arg $ objective_arg $ accounting_arg
+          $ reduced_arg $ query_deadline_arg $ trace_id_arg
           $ json_flag)
 
 let () =

@@ -367,7 +367,6 @@ type staged_k = {
 
 type staged = {
   st_env : env;
-  st_geometry : Geometry.t;
   st_k : staged_k;
 }
 
@@ -575,7 +574,6 @@ let stage_residue ctx rc (g : Geometry.t) =
   in
   let disturb = 2.0 *. c_bl *. vdd *. Finfet.Tech.delta_v_sense in
   { st_env = env;
-    st_geometry = g;
     st_k =
       { c_cvdd = rc.rc_c_cvdd;
         c_cvss = rc.rc_c_cvss;
@@ -971,7 +969,6 @@ let bound_metrics st (b : envelope) =
     ~d_write_cell:b.b_d_write_cell ~wl_boosted
 
 let staged_env st = st.st_env
-let staged_geometry st = st.st_geometry
 let prepared_assist p = p.p_assist
 
 (* ----- batched scan kernel -----

@@ -156,7 +156,6 @@ val eval_staged : staged -> Components.assist -> metrics
     not been prepared ahead of time. *)
 
 val staged_env : staged -> env
-val staged_geometry : staged -> Geometry.t
 val prepared_assist : prepared -> Components.assist
 
 (** {1 Staging context: cross-search geometry sharing}

@@ -51,12 +51,6 @@ type cache_key = {
   k_accounting : Array_model.Array_eval.accounting;
   k_w : int;
   k_space : space_sig;
-  k_strategy : Opt.Strategy.t;
-  (* Seed and budget only distinguish runs of the stochastic engines;
-     for the deterministic ones they are normalized to the defaults so
-     a request that spells them out still hits the cache. *)
-  k_seed : int;
-  k_budget : int;  (* 0 = engine default *)
 }
 
 let cache : (cache_key, optimized) Runtime.Memo.t =
@@ -87,13 +81,6 @@ let disk_key (k : cache_key) =
   ints k.k_space.s_n_pre;
   Buffer.add_char b '|';
   ints k.k_space.s_n_wr;
-  (* Exhaustive keys keep their historical spelling, so disk caches
-     written before the strategy dispatch existed stay valid; the
-     other engines get an explicit suffix. *)
-  if k.k_strategy <> Opt.Strategy.Exhaustive then
-    Buffer.add_string b
-      (Printf.sprintf "|strategy=%s|seed=%d|budget=%d"
-         (Opt.Strategy.name k.k_strategy) k.k_seed k.k_budget);
   Buffer.contents b
 
 let disk_load (k : cache_key) =
@@ -132,19 +119,12 @@ let stage_ctx_for ~flavor ~accounting =
 
 let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
     ?(accounting = Array_model.Array_eval.Paper_strict) ?pool ?(w = 64)
-    ?deadline ?(strategy = Opt.Strategy.Exhaustive)
-    ?(rng_seed = Opt.Strategy.default_seed) ?budget ~capacity_bits ~config ()
-    =
-  let stochastic = not (Opt.Strategy.deterministic strategy) in
+    ?deadline ~capacity_bits ~config () =
   let key =
     { k_capacity = capacity_bits; k_config = config; k_objective = objective;
       k_accounting = accounting; k_w = w;
       k_space =
-        space_sig (match space with Some s -> s | None -> Opt.Space.default);
-      k_strategy = strategy;
-      k_seed = (if stochastic then rng_seed else Opt.Strategy.default_seed);
-      k_budget =
-        (if stochastic then Option.value ~default:0 budget else 0) }
+        space_sig (match space with Some s -> s | None -> Opt.Space.default) }
   in
   (* The key canonicalizes the space's contents, so custom-space runs
      (e.g. [headline ~space:Opt.Space.reduced], the benchmark's staple)
@@ -152,16 +132,14 @@ let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
   Runtime.Memo.find_or_compute_tiered cache key ~load:disk_load
     ~store:disk_store (fun () ->
       Obs.Log.debug ~section:"framework"
-        "optimize miss: %s %d bits — running %s search"
-        (config_name config) capacity_bits
-        (Opt.Strategy.name strategy);
+        "optimize miss: %s %d bits — running exhaustive search"
+        (config_name config) capacity_bits;
       Runtime.Telemetry.time "framework.optimize" (fun () ->
           let env = env_for ~flavor:config.flavor ~accounting in
           let stage_ctx = Array_model.Array_eval.ctx_for env in
           let result =
-            Opt.Strategy.run strategy ?space ~objective ?pool ~w ~stage_ctx
-              ?deadline ?budget ~rng_seed ~env ~capacity_bits
-              ~method_:config.method_ ()
+            Opt.Exhaustive.search ?space ~objective ?pool ~w ~stage_ctx
+              ?deadline ~env ~capacity_bits ~method_:config.method_ ()
           in
           { capacity_bits; config; result }))
 

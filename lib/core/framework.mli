@@ -31,25 +31,19 @@ val optimize :
   ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?deadline:float ->
-  ?strategy:Opt.Strategy.t ->
-  ?rng_seed:int ->
-  ?budget:int ->
   capacity_bits:int ->
   config:config ->
   unit ->
   optimized
-(** One full co-optimization run.  Results are memoized (bounded LRU)
-    per (capacity, config, objective, accounting, w, space contents,
-    strategy, seed, budget) — the space is keyed by a canonical
-    signature of its grids (with [-0.0] / representation noise
-    normalized away), so repeated CLI / serving requests for the same
-    design are cache hits whether or not the space was passed
-    explicitly.  [strategy] (default {!Opt.Strategy.Exhaustive})
-    selects the search engine via {!Opt.Strategy.run}; [rng_seed]
-    (default {!Opt.Strategy.default_seed}) and [budget] feed the
-    stochastic engines and are normalized out of the cache key for the
-    deterministic ones.  [pool] parallelizes the underlying search
-    deterministically (default: {!Runtime.Pool.default}).  [deadline]
+(** One full co-optimization run: an {!Opt.Exhaustive.search} over the
+    whole space, as the paper's framework does.  Results are memoized
+    (bounded LRU) per (capacity, config, objective, accounting, w, space
+    contents) — the space is keyed by a canonical signature of its grids
+    (with [-0.0] / representation noise normalized away), so repeated
+    CLI / serving requests for the same design are cache hits whether
+    or not the space was passed explicitly.  [pool] parallelizes the
+    underlying search deterministically (default:
+    {!Runtime.Pool.default}).  [deadline]
     (absolute {!Runtime.Telemetry.now} seconds, the serving layer's
     per-request budget) aborts a cache-missing search with
     {!Opt.Exhaustive.Deadline_exceeded}; nothing partial is cached, and

@@ -50,8 +50,8 @@ let len = ref 0
 let dropped_n = ref 0
 
 (* Source names are interned to small ids so the hot path stores a
-   float.  The exhaustive engine gets a fixed id; anything else
-   (NSGA-II, tests) is added under the journal lock. *)
+   float.  The exhaustive engine gets a fixed id; any other name
+   (tests) is added under the journal lock. *)
 let extras : string array ref = ref [||]
 let n_extras = ref 0
 

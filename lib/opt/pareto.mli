@@ -6,12 +6,11 @@
 
 val objectives : Exhaustive.candidate -> float array
 (** The candidate's [| d_array; e_total |] vector — the coordinates
-    {!front}, {!dominates} and the NSGA-II machinery ({!Moo}) rank by. *)
+    {!front} and {!dominates} rank by. *)
 
 val dominates : Exhaustive.candidate -> Exhaustive.candidate -> bool
 (** [dominates a b]: [a] is no slower and no more energetic than [b],
-    and strictly better in at least one of the two.  Agrees with
-    {!Moo.dominates} on {!objectives} vectors (property-tested). *)
+    and strictly better in at least one of the two. *)
 
 val front : Exhaustive.candidate list -> Exhaustive.candidate list
 (** Non-dominated candidates under (d_array, e_total), sorted by

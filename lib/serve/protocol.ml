@@ -31,7 +31,6 @@ type query = {
   flavor : Finfet.Library.flavor;
   method_ : Opt.Space.method_;
   strategy : Opt.Strategy.t;
-  rng_seed : int;
   objective : Opt.Objective.t;
   accounting : Array_model.Array_eval.accounting;
   w : int;
@@ -43,7 +42,6 @@ let default_query =
     flavor = Finfet.Library.Hvt;
     method_ = Opt.Space.M2;
     strategy = Opt.Strategy.Exhaustive;
-    rng_seed = Opt.Strategy.default_seed;
     objective = Opt.Objective.Energy_delay_product;
     accounting = Array_model.Array_eval.Paper_strict;
     w = 64;
@@ -144,7 +142,6 @@ let query_to_json (q : query) =
        J.String (String.lowercase_ascii (Finfet.Library.flavor_to_string q.flavor)));
       ("method", J.String (String.lowercase_ascii (Opt.Space.method_name q.method_)));
       ("strategy", J.String (Opt.Strategy.name q.strategy));
-      ("rng_seed", J.Int q.rng_seed);
       ("objective", J.String (objective_to_string q.objective));
       ("accounting", J.String (accounting_to_string q.accounting));
       ("w", J.Int q.w) ]
@@ -255,27 +252,19 @@ let query_of_json j =
       (fun s -> Finfet.Library.flavor_of_string s)
       ~default:default_query.flavor
   in
-  (* The "method" field speaks {!Opt.Strategy.parse_method}'s grammar:
-     a pin policy ("m1"/"m2"), a strategy name ("nsga2", ...), or both
-     ("m1:nsga2").  An explicit "strategy" field wins over whatever the
-     method spelled; anything unparseable is a typed decode error —
-     the server answers [bad_request], the connection stays open. *)
-  let* pin, method_strategy =
-    match J.member "method" j with
-    | None -> Ok (None, None)
-    | Some v ->
-      let* s = require "method" (J.to_string_opt v) in
-      require
-        (Printf.sprintf "method value %S" s)
-        (Opt.Strategy.parse_method s)
+  (* Only the two pin policies and the one engine exist; any other
+     spelling (e.g. an engine name in "method") is a typed decode
+     error — the server answers [bad_request], the connection stays
+     open. *)
+  let* method_ =
+    enum_field j "method"
+      (function "m1" -> Some Opt.Space.M1 | "m2" -> Some Opt.Space.M2 | _ -> None)
+      ~default:default_query.method_
   in
-  let method_ = Option.value ~default:default_query.method_ pin in
   let* strategy =
-    enum_field j "strategy" Opt.Strategy.of_name
-      ~default:(Option.value ~default:default_query.strategy method_strategy)
-  in
-  let rng_seed =
-    Option.value ~default:default_query.rng_seed (J.int_field j "rng_seed")
+    enum_field j "strategy"
+      (function "exhaustive" -> Some Opt.Strategy.Exhaustive | _ -> None)
+      ~default:default_query.strategy
   in
   let* objective =
     enum_field j "objective" objective_of_string ~default:default_query.objective
@@ -291,8 +280,8 @@ let query_of_json j =
     | Some sj -> space_override_of_json sj
   in
   Ok
-    { capacity_bits; flavor; method_; strategy; rng_seed; objective;
-      accounting; w; space }
+    { capacity_bits; flavor; method_; strategy; objective; accounting; w;
+      space }
 
 let request_of_json j =
   let* id = require "id" (J.int_field j "id") in

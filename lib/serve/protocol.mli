@@ -26,15 +26,13 @@ type query = {
   capacity_bits : int;
   flavor : Finfet.Library.flavor;
   method_ : Opt.Space.method_;
+  (** On the wire ["method"] is ["m1"] or ["m2"]. *)
   strategy : Opt.Strategy.t;
-  (** search engine ({!Opt.Strategy.run} dispatch).  On the wire the
-      ["method"] field speaks {!Opt.Strategy.parse_method}'s grammar
-      (["m2"], ["nsga2"], ["m1:nsga2"], ...); an explicit ["strategy"]
-      field wins.  An unknown spelling is a decode error — the server
-      answers a typed [bad_request] and keeps the connection open. *)
-  rng_seed : int;
-  (** seed for the stochastic engines (wire field ["rng_seed"]); same
-      seed, same answer, bit for bit *)
+  (** Always [Exhaustive]; kept because the benchmark harness names
+      it.  On the wire ["strategy"] may be omitted or ["exhaustive"].
+      Any other ["method"] or ["strategy"] spelling is a decode error —
+      the server answers a typed [bad_request] and keeps the connection
+      open. *)
   objective : Opt.Objective.t;
   accounting : Array_model.Array_eval.accounting;
   w : int;
@@ -42,7 +40,7 @@ type query = {
 }
 
 val default_query : query
-(** 4KB, HVT, M2, exhaustive strategy (seed 42), EDP, strict
+(** 4KB, HVT, M2, exhaustive strategy, EDP, strict
     accounting, w = 64, no override. *)
 
 type endpoint =

@@ -100,8 +100,8 @@ let optimize_payload (q : P.query) ~deadline =
   let t0 = now () in
   match
     Sram_edp.Framework.optimize ?space ~objective:q.P.objective
-      ~accounting:q.P.accounting ~w:q.P.w ?deadline ~strategy:q.P.strategy
-      ~rng_seed:q.P.rng_seed ~capacity_bits:q.P.capacity_bits ~config ()
+      ~accounting:q.P.accounting ~w:q.P.w ?deadline
+      ~capacity_bits:q.P.capacity_bits ~config ()
   with
   | o ->
     let result = o.Sram_edp.Framework.result in
@@ -109,7 +109,7 @@ let optimize_payload (q : P.query) ~deadline =
       (J.Obj
          [ ("capacity_bits", J.Int q.P.capacity_bits);
            ("config", J.String (Sram_edp.Framework.config_name config));
-           ("strategy", J.String (Opt.Strategy.name q.P.strategy));
+           ("strategy", J.String "exhaustive");
            ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
            ("eval_s", J.Float (now () -. t0));
            ("result", Opt.Exhaustive.result_to_json result) ])
@@ -133,8 +133,8 @@ let explain_payload (q : P.query) ~deadline =
   let t0 = now () in
   match
     Sram_edp.Framework.optimize ?space ~objective:q.P.objective
-      ~accounting:q.P.accounting ~w:q.P.w ?deadline ~strategy:q.P.strategy
-      ~rng_seed:q.P.rng_seed ~capacity_bits:q.P.capacity_bits ~config ()
+      ~accounting:q.P.accounting ~w:q.P.w ?deadline
+      ~capacity_bits:q.P.capacity_bits ~config ()
   with
   | o ->
     let result = o.Sram_edp.Framework.result in

@@ -347,23 +347,7 @@ let pareto_prop_tests =
   ]
 
 let journal_tests =
-  [ case "nsga2 result JSON round-trips the considered count" (fun () ->
-        let r =
-          Opt.Nsga2.search ~space:Opt.Space.reduced ~seed:7 ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        Alcotest.(check int) "a heuristic considers what it evaluates"
-          r.Opt.Exhaustive.evaluated r.Opt.Exhaustive.considered;
-        let j = Opt.Exhaustive.result_to_json r in
-        Alcotest.(check (option int)) "considered on the wire"
-          (Some r.Opt.Exhaustive.considered)
-          (Persist.Json.int_field j "considered");
-        match Opt.Exhaustive.result_of_json j with
-        | None -> Alcotest.fail "result does not decode"
-        | Some r' ->
-          Alcotest.(check int) "considered survives the round-trip"
-            r.Opt.Exhaustive.considered r'.Opt.Exhaustive.considered);
-    slow_case "journal is observation-only: winners bit-identical on/off"
+  [ slow_case "journal is observation-only: winners bit-identical on/off"
       (fun () ->
         let fingerprint (r : Opt.Exhaustive.result) =
           let b = r.Opt.Exhaustive.best in

@@ -461,8 +461,15 @@ let prop_pruned_search_matches_reference =
    BENCH_kernel.json — at every job count.  Any reassociation slip in
    the scan kernel, any order dependence in the parallel reduction, and
    any pruning bound that is not strictly admissible shows up here as a
-   changed digest. *)
+   changed digest.  The per-capacity HVT-M2 winners (128B..16KB, the
+   paper's headline config) are pinned one by one as well, so a drift
+   names the capacity it hit. *)
 let full_sweep_checksum = "67fd83cd67998ac0"
+
+let hvt_m2_checksums =
+  [ (128, "2ef9d2225d615c06"); (256, "b2516eb19c334481");
+    (1024, "d14357348bab71f9"); (4096, "5ada44e428b6403f");
+    (16384, "636f136ac9159ea7") ]
 
 let test_full_sweep_deterministic () =
   let env_of =
@@ -482,21 +489,36 @@ let test_full_sweep_deterministic () =
         (fun capacity_bits ->
           List.map
             (fun (c : Sram_edp.Framework.config) ->
-              Opt.Exhaustive.search ~kernel:`Staged ~pool
-                ~levels:(levels_of c.Sram_edp.Framework.flavor)
-                ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
-                ~method_:c.Sram_edp.Framework.method_ ())
+              ( capacity_bits, c,
+                Opt.Exhaustive.search ~kernel:`Staged ~pool
+                  ~levels:(levels_of c.Sram_edp.Framework.flavor)
+                  ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
+                  ~method_:c.Sram_edp.Framework.method_ () ))
             Sram_edp.Framework.all_configs)
         Sram_edp.Framework.paper_capacities
     in
     Runtime.Pool.shutdown pool;
-    Opt.Exhaustive.checksum results
+    results
+  in
+  let hvt_m2 =
+    { Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 }
   in
   List.iter
     (fun jobs ->
+      let results = sweep jobs in
       Alcotest.(check string)
         (Printf.sprintf "full-sweep checksum at %d jobs" jobs)
-        full_sweep_checksum (sweep jobs))
+        full_sweep_checksum
+        (Opt.Exhaustive.checksum (List.map (fun (_, _, r) -> r) results));
+      List.iter
+        (fun (capacity_bits, c, r) ->
+          if c = hvt_m2 then
+            Alcotest.(check string)
+              (Printf.sprintf "%dB HVT-M2 checksum at %d jobs"
+                 (capacity_bits / 8) jobs)
+              (List.assoc (capacity_bits / 8) hvt_m2_checksums)
+              (Opt.Exhaustive.checksum [ r ]))
+        results)
     [ 1; 2; 4 ]
 
 (* The scan path's allocation contract, measured directly: once a

@@ -146,8 +146,6 @@ let query_gen =
   let* capacity_bits = int_range 1 (1 lsl 24) in
   let* flavor = oneofl [ Finfet.Library.Lvt; Finfet.Library.Hvt ] in
   let* method_ = oneofl [ Opt.Space.M1; Opt.Space.M2 ] in
-  let* strategy = oneofl Opt.Strategy.all in
-  let* rng_seed = int_range 0 10_000 in
   let* objective =
     oneofl
       [ Opt.Objective.Energy_delay_product;
@@ -163,8 +161,8 @@ let query_gen =
   let* n_pre = opt (iarr 1 64) in
   let* n_wr = opt (iarr 1 64) in
   return
-    { P.capacity_bits; flavor; method_; strategy; rng_seed; objective;
-      accounting; w; space = { P.vssc; nr; n_pre; n_wr } }
+    { P.capacity_bits; flavor; method_; strategy = Opt.Strategy.Exhaustive;
+      objective; accounting; w; space = { P.vssc; nr; n_pre; n_wr } }
 
 let trace_id_gen =
   let open QCheck.Gen in
@@ -329,44 +327,18 @@ let server_tests =
             Alcotest.(check string) "decoded winner re-derives checksum"
               a.Serve.Client.checksum
               (Opt.Exhaustive.checksum [ a.Serve.Client.result ])));
-    case "wire method=nsga2 matches the one-shot strategy path bit-for-bit"
+    case "wire rejects other engines as bad_request"
       (fun () ->
         with_server (fun path c ->
-            (* Through the typed client: strategy + seed in the query
-               record. *)
-            let q =
-              { reduced_query with
-                P.strategy = Opt.Strategy.Nsga2;
-                rng_seed = Opt.Strategy.default_seed }
-            in
-            let a = get (Serve.Client.optimize c q) in
-            let local =
-              Sram_edp.Framework.optimize ~space:Opt.Space.reduced
-                ~strategy:Opt.Strategy.Nsga2
-                ~rng_seed:Opt.Strategy.default_seed
-                ~capacity_bits:(1024 * 8)
-                ~config:
-                  { Sram_edp.Framework.flavor = Finfet.Library.Hvt;
-                    method_ = Opt.Space.M2 }
-                ()
-            in
-            Alcotest.(check string) "server nsga2 = in-process checksum"
-              (Opt.Exhaustive.checksum [ local.Sram_edp.Framework.result ])
-              a.Serve.Client.checksum;
-            (* Raw frame speaking the "method" grammar: no "strategy"
-               field at all, ["method"] = "nsga2" selects the engine. *)
-            let patch_query = function
-              | J.Obj fields ->
-                J.Obj
-                  (List.filter_map
-                     (function
-                       | "strategy", _ -> None
-                       | "method", _ -> Some ("method", J.String "nsga2")
-                       | kv -> Some kv)
-                     fields)
-              | j -> j
-            in
-            let raw_request ~id ~method_str =
+            let a = get (Serve.Client.optimize c reduced_query) in
+            (* A raw optimize frame for [reduced_query] with one query
+               field set to a given spelling. *)
+            let raw_request ~id (key, value) =
+              let set = function
+                | J.Obj fs ->
+                  J.Obj (List.remove_assoc key fs @ [ (key, J.String value) ])
+                | j -> j
+              in
               match
                 P.request_to_json
                   { P.id; deadline_ms = None; trace_id = None;
@@ -376,63 +348,54 @@ let server_tests =
                 J.to_string
                   (J.Obj
                      (List.map
-                        (function
-                          | "query", qj ->
-                            let qj = patch_query qj in
-                            let qj =
-                              match (qj, method_str) with
-                              | J.Obj fs, Some s ->
-                                J.Obj
-                                  (List.map
-                                     (function
-                                       | "method", _ ->
-                                         ("method", J.String s)
-                                       | kv -> kv)
-                                     fs)
-                              | _ -> qj
-                            in
-                            ("query", qj)
-                          | kv -> kv)
+                        (function "query", qj -> ("query", set qj) | kv -> kv)
                         fields))
               | _ -> Alcotest.fail "request_to_json is not an object"
             in
             let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
             Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
             Unix.connect fd (Unix.ADDR_UNIX path);
-            F.write fd (raw_request ~id:11 ~method_str:None);
-            (match F.read fd with
-            | Ok s -> (
-              match Result.bind (J.of_string s) P.response_of_json with
-              | Ok { P.body = Ok payload; _ } ->
-                Alcotest.(check (option string))
-                  "wire method=nsga2 checksum = typed-client checksum"
-                  (Some a.Serve.Client.checksum)
-                  (J.string_field payload "checksum")
-              | Ok { P.body = Error (_, m); _ } ->
-                Alcotest.failf "method=nsga2 rejected: %s" m
-              | Error e -> Alcotest.failf "undecodable response: %s" e)
-            | Error e ->
-              Alcotest.failf "no response to method=nsga2: %s"
-                (F.error_to_string e));
-            (* An unknown method spelling is a typed bad_request and the
-               connection survives it. *)
+            let answer ~id field =
+              F.write fd (raw_request ~id field);
+              match F.read fd with
+              | Ok s -> (
+                match Result.bind (J.of_string s) P.response_of_json with
+                | Ok { P.body; _ } -> body
+                | Error e -> Alcotest.failf "undecodable response: %s" e)
+              | Error e ->
+                Alcotest.failf "no response to %s=%s: %s" (fst field)
+                  (snd field) (F.error_to_string e)
+            in
+            (* The accepted spellings answer the typed client's winner. *)
             List.iteri
-              (fun i bad ->
-                F.write fd (raw_request ~id:(12 + i) ~method_str:(Some bad));
-                match F.read fd with
-                | Ok s -> (
-                  match Result.bind (J.of_string s) P.response_of_json with
-                  | Ok { P.body = Error (P.Bad_request, _); _ } -> ()
-                  | Ok _ -> Alcotest.failf "expected bad_request for %s" bad
-                  | Error e -> Alcotest.failf "undecodable response: %s" e)
-                | Error e ->
-                  Alcotest.failf "no response to bad method %s: %s" bad
-                    (F.error_to_string e))
-              [ "warp-drive"; "anneal"; "surrogate" ];
+              (fun i field ->
+                match answer ~id:(10 + i) field with
+                | Ok payload ->
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s=%s checksum" (fst field) (snd field))
+                    (Some a.Serve.Client.checksum)
+                    (J.string_field payload "checksum")
+                | Error (_, m) ->
+                  Alcotest.failf "%s=%s rejected: %s" (fst field) (snd field) m)
+              [ ("method", "m2"); ("method", "M2"); ("strategy", "exhaustive") ];
+            (* Anything else is a typed bad_request — never silently
+               served as exhaustive — and the connection survives it. *)
+            List.iteri
+              (fun i field ->
+                match answer ~id:(20 + i) field with
+                | Error (P.Bad_request, _) -> ()
+                | Ok _ ->
+                  Alcotest.failf "%s=%s was served" (fst field) (snd field)
+                | Error (code, _) ->
+                  Alcotest.failf "%s=%s answered %s, not bad_request"
+                    (fst field) (snd field) (P.error_code_to_string code))
+              [ ("method", "nsga2"); ("method", "m1:nsga2");
+                ("method", "exhaustive"); ("method", "warp-drive");
+                ("strategy", "nsga2"); ("strategy", "anneal") ];
             F.write fd
               (J.to_string
                  (P.request_to_json
-                    { P.id = 15; deadline_ms = None; trace_id = None;
+                    { P.id = 30; deadline_ms = None; trace_id = None;
                       endpoint = P.Ping }));
             match F.read fd with
             | Ok _ -> ()

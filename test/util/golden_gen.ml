@@ -137,37 +137,27 @@ let stats_schema () =
   Obs.Window.reset_all ();
   text
 
-(* ----- strategy result schema ----- *)
+(* ----- result schema ----- *)
 
-(* Routing every engine through {!Opt.Strategy.run} must not change the
-   result JSON a client sees (the serve payloads and the checkpoint
-   journal both embed it).  Values legitimately differ per engine —
-   NSGA-II evaluates a subset — so the golden pins the SHAPE of
-   [Opt.Exhaustive.result_to_json] for each strategy, same collapse as
-   the stats schema. *)
+(* The result JSON a client sees (the serve payloads and the checkpoint
+   journal both embed it) is pinned by SHAPE, same collapse as the
+   stats schema, under the engine's name. *)
 let strategies_schema () =
   let env = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
-  let result_of st =
-    Opt.Strategy.run st ~space:Opt.Space.reduced ~env
+  let result =
+    Opt.Exhaustive.search ~space:Opt.Space.reduced ~env
       ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()
   in
   Json_out.to_string_pretty
     (Json_out.Obj
-       (List.map
-          (fun st ->
-            ( Opt.Strategy.name st,
-              schema_of (Opt.Exhaustive.result_to_json (result_of st))
-            ))
-          Opt.Strategy.all))
+       [ ("exhaustive", schema_of (Opt.Exhaustive.result_to_json result)) ])
   ^ "\n"
 
 let files_memo =
   (* Sequenced lets: [stats_schema] mutates (then resets) global
      telemetry state, so it must not interleave with the sweep-backed
-     generators.  The whole list is memoized because generation is not
-     idempotent either — [strategies_schema] registers the NSGA-II
-     engine's telemetry counters, which would leak into a *second*
-     [stats_schema] run's counter listing. *)
+     generators.  The whole list is memoized so every golden test reads
+     one generation. *)
   lazy
     (let table4 = table4_json () in
      let report = report_text () in
