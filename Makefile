@@ -1,23 +1,12 @@
 # Tier-1 verification: everything CI gates on.
 #   make check         build + unit/property tests + end-to-end smoke runs
 #   make check-tests   every test/test_*.ml must be wired into test/dune
-#   make bench         runtime scaling benchmark (writes BENCH_runtime.json)
-#   make bench-kernel  staged-kernel benchmark (writes BENCH_kernel.json)
-#   make bench-kernel-opt  same bench under the release profile (-O3 -unsafe);
-#                      never rewrites the baseline, gates winner checksums
-#                      against the committed BENCH_kernel.json via --smoke
-#   make bench-smoke   staged-kernel benchmark, reduced space, no JSON
-#   make bench-obs     observability overhead benchmark (writes BENCH_obs.json)
-#   make bench-explain search-journal overhead + bit-identity gate; embeds the
-#                      convergence journal (writes BENCH_explain.json)
-#   make bench-persist checkpoint/resume bit-identity benchmark (BENCH_persist.json)
-#   make bench-serve   daemon load-generator benchmark (writes BENCH_serve.json)
+#   make gates         wall-clock gates: kernel throughput floor, stats,
+#                      search-journal and serve observability overheads
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
-.PHONY: all check check-tests test bench bench-kernel bench-kernel-opt \
-        bench-smoke bench-obs bench-explain bench-persist \
-        bench-serve smoke-serve-metrics regen-golden clean
+.PHONY: all check check-tests test gates smoke-serve-metrics regen-golden clean
 
 all:
 	dune build
@@ -26,11 +15,7 @@ check: check-tests
 	dune build
 	dune runtest
 	dune exec bench/main.exe -- headline --smoke
-	dune exec bench/main.exe -- kernel --smoke
-	dune exec bench/main.exe -- obs --smoke
-	dune exec bench/main.exe -- explain --smoke
-	dune exec bench/main.exe -- persist --smoke
-	dune exec bench/main.exe -- serve --smoke
+	$(MAKE) gates
 	$(MAKE) smoke-serve-metrics
 
 # A test file that exists but is missing from the dune test stanza is
@@ -47,35 +32,8 @@ check-tests:
 test:
 	dune runtest
 
-bench:
-	dune exec bench/main.exe -- runtime
-
-bench-kernel:
-	dune exec bench/main.exe -- kernel
-
-# Release-profile kernel run.  The --smoke gate checks the optimized
-# binary still picks bit-identical winners (checksum vs the committed
-# baseline) before the full sweep runs; --no-json keeps the dev-profile
-# baseline authoritative.
-bench-kernel-opt:
-	dune build --profile release bench/main.exe
-	dune exec --profile release bench/main.exe -- kernel --smoke
-	dune exec --profile release bench/main.exe -- kernel --no-json
-
-bench-smoke:
-	dune exec bench/main.exe -- kernel --smoke
-
-bench-obs:
-	dune exec bench/main.exe -- obs
-
-bench-explain:
-	dune exec bench/main.exe -- explain
-
-bench-persist:
-	dune exec bench/main.exe -- persist
-
-bench-serve:
-	dune exec bench/main.exe -- serve
+gates:
+	dune exec bench/main.exe -- gates
 
 # Start a real daemon, scrape GET /metrics with stock curl, assert the
 # required series exist and the exposition format parses.

@@ -729,7 +729,6 @@ let reset_staging () =
 let stage env g = stage_with (ctx_for env) g
 
 type prepared = {
-  p_assist : Components.assist;
   dv_cvdd : float;
   i_cvdd : float;
   dv_cvss : float;
@@ -759,11 +758,10 @@ type prepared = {
 (* The input validation [Components.equation1] performs per evaluation
    moves here, to preparation time: each assert guards exactly the
    operand set whose component is live, as the per-point branches did. *)
-let make_prepared ~assist ~dv_cvdd ~i_cvdd ~dv_cvss ~i_cvss ~dv_wl_wr ~i_wl_wr
+let make_prepared ~dv_cvdd ~i_cvdd ~dv_cvss ~i_cvss ~dv_wl_wr ~i_wl_wr
     ~v_bl_rd ~i_bl_rd ~d_write_cell ~wl_boosted ~dcdc =
   let bl_live = Finfet.Tech.delta_v_sense > 0.0 in
-  { p_assist = assist;
-    dv_cvdd;
+  { dv_cvdd;
     i_cvdd;
     dv_cvss;
     i_cvss;
@@ -790,7 +788,7 @@ let make_prepared ~assist ~dv_cvdd ~i_cvdd ~dv_cvss ~i_cvss ~dv_wl_wr ~i_wl_wr
 
 let prepare env (a : Components.assist) =
   let cur = env.currents and per = env.periphery in
-  make_prepared ~assist:a
+  make_prepared
     ~dv_cvdd:(a.Components.vddc -. vdd)
     ~i_cvdd:(Currents.cvdd_driver cur ~vddc:a.Components.vddc)
     ~dv_cvss:(abs_float a.Components.vssc)
@@ -903,8 +901,6 @@ let complete st (p : prepared) =
   end
   else complete_core st p
 
-let eval_staged st a = complete st (prepare st.st_env a)
-
 (* ----- admissible lower envelope -----
 
    Across a vssc scan only four components move.  Taking, per Equation (1)
@@ -967,9 +963,6 @@ let bound_metrics st (b : envelope) =
     ~dv_cvss:b.b_dv_cvss ~i_cvss:b.b_i_cvss ~dv_wl_wr:b.b_dv_wl_wr
     ~i_wl_wr:b.b_i_wl_wr ~v_bl_rd:b.b_v_bl_rd ~i_bl_rd:b.b_i_bl_rd
     ~d_write_cell:b.b_d_write_cell ~wl_boosted
-
-let staged_env st = st.st_env
-let prepared_assist p = p.p_assist
 
 (* ----- batched scan kernel -----
 
@@ -1162,7 +1155,7 @@ let scan st ps buf = scan_slice st ps buf ~lo:0 ~hi:(Array.length ps)
    scalings, exactly as [bound_metrics] does. *)
 
 let bound_prepared env (b : envelope) =
-  make_prepared ~assist:Components.no_assist
+  make_prepared
     ~dv_cvdd:b.b_dv_cvdd
     ~i_cvdd:b.b_i_cvdd
     ~dv_cvss:b.b_dv_cvss

@@ -151,13 +151,6 @@ val complete : staged -> prepared -> metrics
 (** Finish the evaluation; bit-identical to
     [evaluate env geometry assist] for the matching inputs. *)
 
-val eval_staged : staged -> Components.assist -> metrics
-(** [complete st (prepare env a)] — convenience form when the assist has
-    not been prepared ahead of time. *)
-
-val staged_env : staged -> env
-val prepared_assist : prepared -> Components.assist
-
 (** {1 Staging context: cross-search geometry sharing}
 
     The assist-blind components' drive currents are environment
@@ -184,16 +177,13 @@ val ctx_for : env -> ctx
 
 val ctx_env : ctx -> env
 
-val stage_with : ctx -> Geometry.t -> staged
-(** [stage] through a context: hoisted env constants, geometry-keyed
-    cache.  [stage env g] is [stage_with (ctx_for env) g]. *)
-
 val stage_array : ctx -> Geometry.t array -> staged array
 (** Stage a whole candidate grid, cached per domain by the *identity*
     of the array: searches that share one memoized grid (e.g. the two
     methods of a Table 4 capacity) get the previous result back without
-    any per-geometry lookup.  Element [i] is [stage_with ctx gs.(i)];
-    the result is immutable shared state — callers must only read it. *)
+    any per-geometry lookup.  Element [i] is bit-identical to
+    [stage (ctx_env ctx) gs.(i)]; the result is immutable shared state —
+    callers must only read it. *)
 
 val reset_staging : unit -> unit
 (** Drop every registered context (benchmarks call this between runs so
@@ -224,10 +214,10 @@ val bound_metrics : staged -> envelope -> metrics
 
 val bound_prepared : env -> envelope -> prepared
 (** The envelope as a scan point: a [prepared] whose operands are the
-    envelope's extremes (assist slot = [Components.no_assist]).
-    Evaluating it — through {!complete} or {!scan} — reproduces
-    {!bound_metrics} bit-for-bit, so searches can fold bound evaluation
-    into the same allocation-free scan as real candidates. *)
+    envelope's extremes.  Evaluating it — through {!complete} or
+    {!scan} — reproduces {!bound_metrics} bit-for-bit, so searches can
+    fold bound evaluation into the same allocation-free scan as real
+    candidates. *)
 
 val suffix_envelopes : prepared array -> block:int -> envelope array
 (** [suffix_envelopes ps ~block] — element [j] envelopes every assist
@@ -248,7 +238,7 @@ val suffix_envelopes : prepared array -> block:int -> envelope array
     reduces over the flat arrays and materializes {!complete} for the
     single winning index.  Each buffer slot [i] holds Equation (2)'s
     D_array, Equation (5)'s E_total and the EDP product for assist
-    [ps.(i)], bit-identical to the corresponding [eval_staged] fields
+    [ps.(i)], bit-identical to the corresponding [complete] fields
     (the loop re-runs the reference arithmetic in the reference
     association order; pinned by the QCheck property suite including
     [-0.0]/subnormal corners). *)

@@ -166,11 +166,10 @@ let windows_json () =
                  counters)) ])
 
 (* When the process is (or was) a server, surface the [serve.*] request
-   counters as their own section — BENCH_serve.json and the `stats`
-   endpoint then carry the serving telemetry under one key instead of
-   scattered through the flat counter list.  One-shot runs have no
-   serve counters and omit the section, keeping the other BENCH_*.json
-   schemas unchanged. *)
+   counters as their own section — the `stats` endpoint then carries the
+   serving telemetry under one key instead of scattered through the
+   flat counter list.  One-shot runs have no serve counters and omit
+   the section, keeping the `--json --stats` schema unchanged. *)
 let server_stats_json () =
   let prefix = "serve." in
   let serve_counters =

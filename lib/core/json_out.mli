@@ -36,17 +36,12 @@ val design_table_json :
 
 (** {1 Runtime telemetry export} *)
 
-val of_memo_stats : Runtime.Memo.stats -> t
-
 val of_telemetry : Runtime.Telemetry.snapshot -> t
 
 val of_histogram : Obs.Histogram.snapshot -> t
 (** One latency histogram as name / samples / mean / min / max /
     p50 / p90 / p99 (seconds).  The snapshot must be non-empty:
     an empty one has infinite min/max, which JSON cannot express. *)
-
-val histograms_json : unit -> t
-(** Every registered {!Obs.Histogram} with at least one sample. *)
 
 val of_window_slice : string -> Obs.Histogram.snapshot -> t
 (** One trailing-window view: window label, sample count, sum, mean and
@@ -82,8 +77,7 @@ val of_search_summary : Obs.Search.summary -> t
 
 val search_journal_json : unit -> t
 (** [{"summary": ..., "events": [...]}] — the convergence curve
-    [--search-log] writes and BENCH_explain.json embeds.  Events are in
-    timestamp order. *)
+    [--search-log] writes.  Events are in timestamp order. *)
 
 (** {1 Attribution and explanation export} *)
 

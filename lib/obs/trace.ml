@@ -26,7 +26,6 @@ type ring = {
 let placeholder = { ev_name = ""; ev_phase = I; ev_ts = 0.0; ev_slot = 0; ev_ctx = "" }
 
 let tracing = Atomic.make false
-let fine = Atomic.make true
 let t0 = Atomic.make 0.0
 
 (* Flight recording is independent of [tracing]: a serving daemon keeps
@@ -109,7 +108,7 @@ let push name phase =
   end
 
 let active () = Atomic.get tracing || Atomic.get flight_capacity > 0
-let fine_active () = Atomic.get tracing && Atomic.get fine
+let fine_active () = Atomic.get tracing
 
 (* One ring slot per span when only the flight ring is listening: a
    complete (X) event recorded at close carries the duration, halving
@@ -161,11 +160,10 @@ let anchor_t0 () =
 
 let epoch () = Atomic.get t0
 
-let start ?(detail = `Fine) () =
+let start () =
   Mutex.lock reg_lock;
   List.iter (fun b -> b.buf_len <- 0) !buffers;
   Mutex.unlock reg_lock;
-  Atomic.set fine (match detail with `Fine -> true | `Coarse -> false);
   Atomic.set t0 (Clock.now ());
   Atomic.set tracing true
 

@@ -12,10 +12,9 @@
     Two independent recorders share the same instrumentation points:
 
     - {e Tracing} ({!start} / {!stop}) — the explicit [--trace] run:
-      growable buffers capture everything until exported with {!write}.
-      [`Fine] detail also enables the per-geometry spans the search
-      layer guards with {!fine_active}; [`Coarse] keeps only the
-      structural spans.
+      growable buffers capture everything until exported with {!write},
+      including the per-geometry spans the search layer guards with
+      {!fine_active}.
     - The {e flight ring} ({!arm_flight}) — a fixed-size per-domain
       overwrite-oldest ring of recent coarse spans that a long-running
       daemon keeps armed for its whole life.  {!flight_events} returns
@@ -42,8 +41,8 @@ type event = {
   ev_ctx : string; (** trace context at record time; [""] = none *)
 }
 
-val start : ?detail:[ `Fine | `Coarse ] -> unit -> unit
-(** Clear all buffers and begin recording (default [`Fine]). *)
+val start : unit -> unit
+(** Clear all buffers and begin recording. *)
 
 val stop : unit -> unit
 (** Stop recording; buffered events stay available for {!write}. *)
@@ -52,8 +51,8 @@ val active : unit -> bool
 (** Recording into the trace buffers or the flight ring. *)
 
 val fine_active : unit -> bool
-(** Tracing (not just flight-recording), at [`Fine] detail — gates
-    high-volume per-candidate spans. *)
+(** Tracing (not just flight-recording) — gates high-volume
+    per-candidate spans, which the flight ring never records. *)
 
 (** {2 Request context} *)
 

@@ -342,8 +342,8 @@ let scan_block = 8
    near 1 would mean pruning works only because the incumbent is far
    better, not because the bound is tight.  Recorded for surviving
    fully-scanned lines when observability is on ([--stats] / serving),
-   read back as quantiles by [--stats], BENCH_explain.json and the
-   Prometheus exposition. *)
+   read back as quantiles by [--stats] and the Prometheus
+   exposition. *)
 let bound_gap_hist = Obs.Histogram.create ~kind:Obs.Histogram.Ratio ~sample:1
     "opt.bound_gap"
 
@@ -574,10 +574,10 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
             [] )
         end
   in
-  (* The per-geometry trace span is gated on [`Fine] detail: a full
-     Table 4 sweep scans ~10^4 geometries and per-geometry events would
-     dominate the trace buffer, so coarse traces keep only the
-     structural spans (sweep / search / pool chunks). *)
+  (* The per-geometry trace span is recorded only by an explicit trace:
+     a full Table 4 sweep scans ~10^4 geometries and per-geometry events
+     would flood the flight ring, which keeps only the structural spans
+     (sweep / search / pool chunks). *)
   let eval_line i =
     (* Deadline check at geometry granularity: one geometry's vssc scan
        is microseconds, so an expired serving deadline stops the search

@@ -133,11 +133,8 @@ val checksum : result list -> string
     under parallelism).  Two sweeps that pick the same designs
     bit-for-bit produce equal checksums. *)
 
-val candidate_to_json : candidate -> Persist.Json.t
-val candidate_of_json : Persist.Json.t -> candidate option
-(** Bit-exact round-trip: floats are emitted with 17 significant
-    digits, so [candidate_of_json (candidate_to_json c) = Some c]
-    including every float bit. *)
-
 val result_to_json : result -> Persist.Json.t
 val result_of_json : Persist.Json.t -> result option
+(** Bit-exact round-trip: floats are emitted with 17 significant
+    digits, so [result_of_json (result_to_json r) = Some r] including
+    every float bit. *)

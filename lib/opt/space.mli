@@ -8,8 +8,8 @@
     - M1: one extra voltage level only — V_DDC = V_WL = max(minimums),
       V_SSC forced to 0;
     - M2: unrestricted levels — V_DDC and V_WL at their own minimums
-      (merged into one level when within {!merge_threshold}, as the paper
-      does for 6T-HVT), V_SSC free. *)
+      (merged into one level when within 20 mV, as the paper does for
+      6T-HVT), V_SSC free. *)
 
 type method_ = M1 | M2
 
@@ -29,9 +29,6 @@ val reduced : t
 (** A coarser grid (every other V_SSC step, power-of-two-ish fin steps)
     for quick runs and tests; the optimum it finds is within a few percent
     of the full search. *)
-
-val merge_threshold : float
-(** 20 mV: V_DDC and V_WL closer than this share one pin under M2. *)
 
 type pins = {
   vddc : float;

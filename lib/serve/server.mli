@@ -27,7 +27,7 @@
 
     Telemetry: per-endpoint counters ([serve.req.*]) and latency
     histograms ([serve.queue_wait], [serve.handle.*], [serve.e2e])
-    feed [--stats], the [stats] endpoint and BENCH_serve.json.
+    feed [--stats], the [stats] endpoint and [GET /metrics].
 
     Observability (on by default; the bench harness turns it off to
     measure its own overhead): every parsed request runs under a trace

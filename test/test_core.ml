@@ -195,7 +195,7 @@ let framework_tests =
     case "repeated sweep hits the memo, custom space included" (fun () ->
         (* Regression: the memo key used to carry only a [default_space]
            flag, so explicitly-passed spaces — every bench sweep — never
-           hit, and BENCH_runtime.json reported a 0.0 hit rate. *)
+           hit, and the runtime benchmark reported a 0.0 hit rate. *)
         let memo_stats () =
           List.find
             (fun (s : Runtime.Memo.stats) ->

@@ -406,14 +406,18 @@ let trace_tests =
         Obs.Trace.with_span "ghost" (fun () -> ());
         Alcotest.(check int) "buffer stays empty" 0
           (List.length (Obs.Trace.events ())));
-    case "fine_active only under `Fine detail" (fun () ->
-        Obs.Trace.start ~detail:`Coarse ();
-        Alcotest.(check bool) "coarse: active" true (Obs.Trace.active ());
-        Alcotest.(check bool) "coarse: not fine" false (Obs.Trace.fine_active ());
-        Obs.Trace.stop ();
-        Obs.Trace.start ~detail:`Fine ();
-        Alcotest.(check bool) "fine: fine" true (Obs.Trace.fine_active ());
-        Obs.Trace.stop ());
+    case "fine_active while tracing, not under the flight ring alone"
+      (fun () ->
+        Obs.Trace.arm_flight ();
+        Fun.protect ~finally:Obs.Trace.disarm_flight (fun () ->
+            Alcotest.(check bool) "flight: active" true (Obs.Trace.active ());
+            Alcotest.(check bool) "flight: not fine" false
+              (Obs.Trace.fine_active ());
+            Obs.Trace.start ();
+            Alcotest.(check bool) "tracing: fine" true (Obs.Trace.fine_active ());
+            Obs.Trace.stop ();
+            Alcotest.(check bool) "stopped: not fine" false
+              (Obs.Trace.fine_active ())));
     case "chrome export is well-formed" (fun () ->
         Obs.Trace.start ();
         Obs.Trace.with_span "exported" (fun () -> ());
@@ -435,7 +439,7 @@ let trace_tests =
         let env =
           Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt ()
         in
-        Obs.Trace.start ~detail:`Fine ();
+        Obs.Trace.start ();
         ignore
           (Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool:(pool_of 2)
              ~env ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ());
@@ -817,7 +821,7 @@ let determinism_tests =
             let plain = fingerprint (search jobs) in
             let devnull = open_out "/dev/null" in
             Obs.Control.set_enabled true;
-            Obs.Trace.start ~detail:`Fine ();
+            Obs.Trace.start ();
             Obs.Progress.start ~interval:0.01 ~channel:devnull ();
             let instrumented = fingerprint (search jobs) in
             Obs.Progress.stop ();

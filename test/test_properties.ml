@@ -288,7 +288,7 @@ let prop_staged_bit_identical =
         (fun env ->
           let reference = Array_model.Array_eval.evaluate env g a in
           let staged =
-            Array_model.Array_eval.(eval_staged (stage env g) a)
+            Array_model.Array_eval.(complete (stage env g) (prepare env a))
           in
           metrics_equal reference staged)
         kernel_envs)
@@ -345,7 +345,7 @@ let prop_scan_bit_identical =
           let ok = ref (scan_length buf = Array.length assists) in
           Array.iteri
             (fun i a ->
-              let m = eval_staged st a in
+              let m = complete st (prepare env a) in
               ok :=
                 !ok
                 && bits_equal (scan_e_total buf).(i) m.e_total
@@ -457,13 +457,12 @@ let prop_pruned_search_matches_reference =
 
 (* Not a property but the strongest single determinism check we have:
    the full paper sweep (all capacities x configs, staged kernel) must
-   reproduce one specific winner checksum — the value committed in
-   BENCH_kernel.json — at every job count.  Any reassociation slip in
-   the scan kernel, any order dependence in the parallel reduction, and
-   any pruning bound that is not strictly admissible shows up here as a
-   changed digest.  The per-capacity HVT-M2 winners (128B..16KB, the
-   paper's headline config) are pinned one by one as well, so a drift
-   names the capacity it hit. *)
+   reproduce one specific winner checksum at every job count.  Any
+   reassociation slip in the scan kernel, any order dependence in the
+   parallel reduction, and any pruning bound that is not strictly
+   admissible shows up here as a changed digest.  The per-capacity
+   HVT-M2 winners (128B..16KB, the paper's headline config) are pinned
+   one by one as well, so a drift names the capacity it hit. *)
 let full_sweep_checksum = "67fd83cd67998ac0"
 
 let hvt_m2_checksums =
@@ -471,34 +470,62 @@ let hvt_m2_checksums =
     (1024, "d14357348bab71f9"); (4096, "5ada44e428b6403f");
     (16384, "636f136ac9159ea7") ]
 
+(* All four configs at 1KB over the reduced space: small enough to run
+   through both kernels at every job count, and the checksum the bench
+   harness's kernel throughput gate reproduces. *)
+let reduced_1kb_checksum = "7da17d1b346e49de"
+
+(* Environments and yield pins per flavor, built once for every pinned
+   sweep. *)
+let flavor_inputs =
+  lazy
+    (let setup flavor =
+       ( Array_model.Array_eval.make_env ~cell_flavor:flavor (),
+         Opt.Yield.solve ~flavor () )
+     in
+     let lvt = setup Finfet.Library.Lvt and hvt = setup Finfet.Library.Hvt in
+     function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt)
+
+(* Every config at every capacity, as (capacity_bits, config, result). *)
+let pinned_sweep ?space ~kernel ~capacities jobs =
+  let inputs = Lazy.force flavor_inputs in
+  let pool = Runtime.Pool.create ~jobs () in
+  let results =
+    List.concat_map
+      (fun capacity_bits ->
+        List.map
+          (fun (c : Sram_edp.Framework.config) ->
+            let env, levels = inputs c.Sram_edp.Framework.flavor in
+            ( capacity_bits, c,
+              Opt.Exhaustive.search ?space ~kernel ~pool ~levels ~env
+                ~capacity_bits ~method_:c.Sram_edp.Framework.method_ () ))
+          Sram_edp.Framework.all_configs)
+      capacities
+  in
+  Runtime.Pool.shutdown pool;
+  results
+
+let sweep_checksum results =
+  Opt.Exhaustive.checksum (List.map (fun (_, _, r) -> r) results)
+
+let test_reduced_sweep_checksum () =
+  List.iter
+    (fun (name, kernel) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s kernel at %d jobs" name jobs)
+            reduced_1kb_checksum
+            (sweep_checksum
+               (pinned_sweep ~space:Opt.Space.reduced ~kernel
+                  ~capacities:[ 1024 * 8 ] jobs)))
+        [ 1; 2; 4 ])
+    [ ("staged", `Staged); ("reference", `Reference) ]
+
 let test_full_sweep_deterministic () =
-  let env_of =
-    let lvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Lvt () in
-    let hvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let levels_of =
-    let lvt = Opt.Yield.solve ~flavor:Finfet.Library.Lvt () in
-    let hvt = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let sweep jobs =
-    let pool = Runtime.Pool.create ~jobs () in
-    let results =
-      List.concat_map
-        (fun capacity_bits ->
-          List.map
-            (fun (c : Sram_edp.Framework.config) ->
-              ( capacity_bits, c,
-                Opt.Exhaustive.search ~kernel:`Staged ~pool
-                  ~levels:(levels_of c.Sram_edp.Framework.flavor)
-                  ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
-                  ~method_:c.Sram_edp.Framework.method_ () ))
-            Sram_edp.Framework.all_configs)
-        Sram_edp.Framework.paper_capacities
-    in
-    Runtime.Pool.shutdown pool;
-    results
+  let sweep =
+    pinned_sweep ~kernel:`Staged
+      ~capacities:Sram_edp.Framework.paper_capacities
   in
   let hvt_m2 =
     { Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 }
@@ -508,8 +535,7 @@ let test_full_sweep_deterministic () =
       let results = sweep jobs in
       Alcotest.(check string)
         (Printf.sprintf "full-sweep checksum at %d jobs" jobs)
-        full_sweep_checksum
-        (Opt.Exhaustive.checksum (List.map (fun (_, _, r) -> r) results));
+        full_sweep_checksum (sweep_checksum results);
       List.iter
         (fun (capacity_bits, c, r) ->
           if c = hvt_m2 then
@@ -657,6 +683,9 @@ let () =
            prop_pruned_search_matches_reference ]
        @ [ Alcotest.test_case "full sweep reproduces committed checksum"
              `Slow test_full_sweep_deterministic;
+           Alcotest.test_case
+             "reduced 1KB sweep reproduces its checksum in both kernels"
+             `Quick test_reduced_sweep_checksum;
            Alcotest.test_case "warm scan path allocates zero words"
              `Quick test_scan_allocation_free ]);
       ("workload", List.map to_alco [ prop_trace_summary_bounds ]);

@@ -309,10 +309,31 @@ let server_tests =
   [ case "warm repeat answers bit-identically to the one-shot path"
       (fun () ->
         with_server (fun _path c ->
+            (* The server's framework.optimize memo counters, read
+               through the stats endpoint. *)
+            let optimize_memo () =
+              match J.member "memos" (get (Serve.Client.stats c)) with
+              | Some (J.List memos) -> (
+                match
+                  List.find_opt
+                    (fun m -> J.string_field m "name" = Some "framework.optimize")
+                    memos
+                with
+                | Some m -> (
+                  match (J.int_field m "hits", J.int_field m "misses") with
+                  | Some hits, Some misses -> (hits, misses)
+                  | _ -> Alcotest.fail "memo row without hits/misses")
+                | None -> Alcotest.fail "no framework.optimize memo in stats")
+              | _ -> Alcotest.fail "no memos section in stats"
+            in
             let a = get (Serve.Client.optimize c reduced_query) in
+            let hits, misses = optimize_memo () in
             let b = get (Serve.Client.optimize c reduced_query) in
+            let hits', misses' = optimize_memo () in
             Alcotest.(check string) "warm = cold checksum"
               a.Serve.Client.checksum b.Serve.Client.checksum;
+            Alcotest.(check int) "repeat is a memo hit" (hits + 1) hits';
+            Alcotest.(check int) "repeat adds no memo miss" misses misses';
             let local =
               Sram_edp.Framework.optimize ~space:Opt.Space.reduced
                 ~capacity_bits:(1024 * 8)
