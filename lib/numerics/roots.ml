@@ -1,7 +1,7 @@
 exception No_bracket
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ?f_lo f ~lo ~hi =
-  let flo = match f_lo with Some v -> v | None -> f lo in
+let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
+  let flo = f lo in
   let fhi = f hi in
   if flo = 0.0 then lo
   else if fhi = 0.0 then hi

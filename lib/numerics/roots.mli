@@ -8,12 +8,11 @@ exception No_bracket
 (** Raised when the supplied interval does not bracket a root. *)
 
 val bisect :
-  ?tol:float -> ?max_iter:int -> ?f_lo:float -> (float -> float) -> lo:float ->
-  hi:float -> float
+  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float ->
+  float
 (** [bisect f ~lo ~hi] finds [x] with [f x = 0] assuming [f lo] and [f hi]
     have opposite signs.  @raise No_bracket otherwise.
-    [tol] is the absolute interval tolerance (default 1e-12).  [f_lo], when
-    the caller already holds [f lo], is used instead of calling [f lo]. *)
+    [tol] is the absolute interval tolerance (default 1e-12). *)
 
 val brent :
   ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float

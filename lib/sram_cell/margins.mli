@@ -18,10 +18,18 @@ val read_snm :
   float
 (** RSNM under a read condition (assists included via the condition). *)
 
-val flips_at_vwl :
-  cell:Finfet.Variation.cell_sample -> Sram6t.condition -> vwl:float -> bool
+type flip_probe = {
+  flips : bool;      (** the cell ends with Q below QB *)
+  converged : bool;  (** whether the DC solve behind it converged *)
+}
+
+val probe_flip :
+  cell:Finfet.Variation.cell_sample -> Sram6t.condition -> vwl:float ->
+  flip_probe
 (** Does a write-0 attempt at the given WL level flip a cell holding 1?
-    The bitline levels come from the condition; [vwl] overrides its WL. *)
+    The bitline levels come from the condition; [vwl] overrides its WL.
+    A reading from a solve that did not converge is still returned, but
+    should not be trusted. *)
 
 val minimum_flipping_vwl :
   ?tol:float ->

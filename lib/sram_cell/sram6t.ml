@@ -88,7 +88,9 @@ let solve_state ?(q_init = 0.0) ~cell condition =
   x0.(nodes.bl - 1) <- condition.vbl;
   x0.(nodes.blb - 1) <- condition.vblb;
   let s = Spice.Dc.operating_point ~x0 netlist in
-  (Spice.Dc.node_voltage s nodes.q, Spice.Dc.node_voltage s nodes.qb)
+  ( Spice.Dc.node_voltage s nodes.q,
+    Spice.Dc.node_voltage s nodes.qb,
+    s.Spice.Dc.converged )
 
 let build_half_vtc ~cell ~side ~access_on condition ~vin =
   let open Spice in

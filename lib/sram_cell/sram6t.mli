@@ -57,11 +57,12 @@ val solve_state :
   ?q_init:float ->
   cell:Finfet.Variation.cell_sample ->
   condition ->
-  (float * float)
-(** DC solve of the cell returning (V_Q, V_QB).  [q_init] biases the
-    Newton start so the intended lobe of the bistable solution is found
-    (default: Q low).  The complementary node starts at the opposite
-    rail. *)
+  float * float * bool
+(** DC solve of the cell returning (V_Q, V_QB, converged).  [q_init]
+    biases the Newton start so the intended lobe of the bistable solution
+    is found (default: Q low).  The complementary node starts at the
+    opposite rail.  A solve that did not converge still returns its last
+    iterate, which should not be trusted. *)
 
 val build_half_vtc :
   cell:Finfet.Variation.cell_sample ->

@@ -138,17 +138,6 @@ let roots_tests =
     case "brent raises without bracket" (fun () ->
         Alcotest.check_raises "no bracket" Numerics.Roots.No_bracket (fun () ->
             ignore (Numerics.Roots.brent f ~lo:2.0 ~hi:3.0)));
-    case "bisect ~f_lo skips one call and returns the same root" (fun () ->
-        let calls = ref 0 in
-        let counted x = incr calls; f x in
-        let plain = Numerics.Roots.bisect ~tol:1e-3 counted ~lo:0.0 ~hi:2.0 in
-        let plain_calls = !calls in
-        calls := 0;
-        let reused =
-          Numerics.Roots.bisect ~tol:1e-3 ~f_lo:(f 0.0) counted ~lo:0.0 ~hi:2.0
-        in
-        Alcotest.(check int) "one fewer call" (plain_calls - 1) !calls;
-        check_bits "same root" plain reused);
     case "bisect returns exact endpoint root" (fun () ->
         check_close_abs "root at lo" 0.0 (Numerics.Roots.bisect (fun x -> x) ~lo:0.0 ~hi:1.0));
     case "newton_scalar" (fun () ->

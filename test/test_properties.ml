@@ -191,6 +191,80 @@ let prop_pruned_lobes_match_reference =
       && bits_equal (reference_lobe ~upper:curve_l ~lower:curve_r)
            got.Sram_cell.Butterfly.lobe_low)
 
+(* --- yield pins --- *)
+
+(* The grid bisection in Opt.Yield is only exact if each rule reads
+   fail-then-pass along its grid.  Scan every level either search can
+   probe, for both flavors at every corner: RSNM - delta changes sign
+   once, and the flip reading changes at most once on converged probes.
+   Where every flip probe converged, the pins must be the first passing
+   levels bit for bit.  At SF some flip probes do not converge (and read
+   "holds" above passing levels), so only the SF corners may be
+   exempt. *)
+let test_yield_grid_monotone () =
+  let changes readings =
+    let rec go n = function
+      | a :: (b :: _ as rest) -> go (if a = b then n else n + 1) rest
+      | [ _ ] | [] -> n
+    in
+    go 0 readings
+  in
+  let first_passing readings =
+    List.find_map (fun (v, ok) -> if ok then Some v else None) readings
+  in
+  let expect_bits label expected got =
+    match expected with
+    | Some v when bits_equal v got -> ()
+    | Some v -> Alcotest.failf "%s: pin %h, first passing level %h" label got v
+    | None -> Alcotest.failf "%s: no level passes, pin %h" label got
+  in
+  List.iter
+    (fun flavor ->
+      List.iter
+        (fun corner ->
+          let label =
+            Finfet.Library.flavor_to_string flavor ^ "-" ^ Finfet.Corners.name corner
+          in
+          let rsnm =
+            List.map
+              (fun vddc ->
+                ( vddc,
+                  Opt.Yield.rsnm_at ~corner ~flavor ~vddc ~vssc:0.0 ()
+                  >= Finfet.Tech.min_margin ))
+              (Opt.Yield.grid Opt.Yield.Read_snm)
+          in
+          let flips =
+            List.map
+              (fun v -> (v, Opt.Yield.write_flip ~corner ~flavor v))
+              (Opt.Yield.grid Opt.Yield.Write_flip)
+          in
+          let converged =
+            List.filter_map
+              (fun (v, (p : Sram_cell.Margins.flip_probe)) ->
+                if p.converged then Some (v, p.flips) else None)
+              flips
+          in
+          let all_converged = List.length converged = List.length flips in
+          let rsnm_changes = changes (List.map snd rsnm) in
+          if rsnm_changes <> 1 || snd (List.hd rsnm) then
+            Alcotest.failf "%s: RSNM - delta is not one sign change (%d changes)"
+              label rsnm_changes;
+          let flip_changes = changes (List.map snd converged) in
+          if flip_changes > 1 || (flip_changes = 1 && snd (List.hd converged))
+          then
+            Alcotest.failf "%s: converged flip readings change %d times" label
+              flip_changes;
+          if (not all_converged) && corner <> Finfet.Corners.SF then
+            Alcotest.failf "%s: unconverged flip probe off the SF corner" label;
+          let pins = Opt.Yield.solve ~corner ~flavor () in
+          expect_bits (label ^ " vddc") (first_passing rsnm)
+            pins.Opt.Yield.vddc_min;
+          if all_converged then
+            expect_bits (label ^ " vwl") (first_passing converged)
+              pins.Opt.Yield.vwl_min)
+        Finfet.Corners.all)
+    [ Finfet.Library.Hvt; Finfet.Library.Lvt ]
+
 (* --- array model --- *)
 
 let prop_caps_positive =
@@ -671,6 +745,10 @@ let () =
       ("spice", List.map to_alco [ prop_divider; prop_step_waveform_bounds ]);
       ("device", List.map to_alco [ prop_ids_monotone_vgs; prop_stack_bounded_by_pull_down ]);
       ("sram_cell", List.map to_alco [ prop_pruned_lobes_match_reference ]);
+      ("yield",
+       [ Alcotest.test_case
+           "every grid level reads fail-then-pass; pins are the first pass"
+           `Quick test_yield_grid_monotone ]);
       ("array_model",
        List.map to_alco
          [ prop_caps_positive; prop_metrics_invariants; prop_physical_not_cheaper;

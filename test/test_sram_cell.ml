@@ -37,12 +37,12 @@ let condition_tests =
 
 let state_tests =
   [ case "hold state is bistable" (fun () ->
-        let q0, qb0 = Sram_cell.Sram6t.solve_state ~q_init:0.0 ~cell:hvt (Sram_cell.Sram6t.hold ()) in
-        let q1, qb1 = Sram_cell.Sram6t.solve_state ~q_init:vdd ~cell:hvt (Sram_cell.Sram6t.hold ()) in
+        let q0, qb0, _ = Sram_cell.Sram6t.solve_state ~q_init:0.0 ~cell:hvt (Sram_cell.Sram6t.hold ()) in
+        let q1, qb1, _ = Sram_cell.Sram6t.solve_state ~q_init:vdd ~cell:hvt (Sram_cell.Sram6t.hold ()) in
         Alcotest.(check bool) "lobe 0" true (q0 < 0.1 *. vdd && qb0 > 0.9 *. vdd);
         Alcotest.(check bool) "lobe 1" true (q1 > 0.9 *. vdd && qb1 < 0.1 *. vdd));
     case "read disturbs but does not flip the nominal cell" (fun () ->
-        let q, qb = Sram_cell.Sram6t.solve_state ~q_init:0.0 ~cell:hvt (Sram_cell.Sram6t.read ()) in
+        let q, qb, _ = Sram_cell.Sram6t.solve_state ~q_init:0.0 ~cell:hvt (Sram_cell.Sram6t.read ()) in
         Alcotest.(check bool) "still holds 0" true (q < qb);
         Alcotest.(check bool) "bump above ground" true (q > 0.0));
     case "storage node cap sums the attached terminals" (fun () ->
@@ -133,9 +133,9 @@ let write_tests =
         let c = Sram_cell.Sram6t.write0 () in
         let flip = Sram_cell.Margins.minimum_flipping_vwl ~cell:hvt c in
         Alcotest.(check bool) "below holds" false
-          (Sram_cell.Margins.flips_at_vwl ~cell:hvt c ~vwl:(flip -. 0.02));
+          (Sram_cell.Margins.probe_flip ~cell:hvt c ~vwl:(flip -. 0.02)).flips;
         Alcotest.(check bool) "above flips" true
-          (Sram_cell.Margins.flips_at_vwl ~cell:hvt c ~vwl:(flip +. 0.02)));
+          (Sram_cell.Margins.probe_flip ~cell:hvt c ~vwl:(flip +. 0.02)).flips);
     case "WM at nominal WL fails the yield rule (paper)" (fun () ->
         Alcotest.(check bool) "hvt" true
           (Sram_cell.Margins.write_margin ~cell:hvt (Sram_cell.Sram6t.write0 ()) < delta));
